@@ -40,10 +40,10 @@ from .module_ops import (
     subquotient_dimension,
     syzygies,
 )
-from .orders import LocalOrder, ModuleOrder, compare
+from .orders import LocalOrder, ModuleOrder
 from .parsing import parse_polynomial
 from .problemfile import ProblemFile, parse_problem_file
-from .ring import Monomial, Polynomial, RingSpec, format_polynomial, gradient, partial_derivative
+from .ring import Monomial, Polynomial, RingSpec, format_polynomial, gradient
 from .standard_basis import (
     INFINITE,
     ModuleElement,
@@ -87,7 +87,6 @@ __all__ = [
     "TangentModule",
     "VarietyGerm",
     "colength",
-    "compare",
     "derived_invariants",
     "detect_quasihomogeneous",
     "df_theta",
@@ -107,7 +106,6 @@ __all__ = [
     "mu_BR_rel",
     "parse_polynomial",
     "parse_problem_file",
-    "partial_derivative",
     "product",
     "set_default_max_steps",
     "standard_basis",

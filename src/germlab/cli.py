@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .derlog import VarietyGerm, df_theta
+from .derlog import VarietyGerm, mu_BR, mu_BR_rel, tau_BR
 from .errors import (
     ContainmentViolation,
     GenericityExhausted,
@@ -34,15 +34,8 @@ from .invariants import (
     tjurina_icis,
     verify_icis,
 )
-from .module_ops import module_sum
 from .problemfile import ProblemFile, parse_problem_file
-from .standard_basis import (
-    Submodule,
-    colength,
-    krull_dimension,
-    local_colength,
-    set_default_max_steps,
-)
+from .standard_basis import colength, krull_dimension, set_default_max_steps
 
 _COMMANDS = ("invariants", "theta", "std", "milnor", "tjurina", "check")
 
@@ -90,10 +83,7 @@ def _run_invariants(problem: ProblemFile, seed: int):
         f = _require_function(problem)
         rows.append(("d", problem.ring.n))
         mu_f = milnor_hypersurface(f)
-        image = df_theta(f, X.tangent_module)
-        mu_br = local_colength(image)
-        mu_br_rel = local_colength(module_sum(image, X.ideal))
-        tau_br = local_colength(module_sum(image, Submodule.ideal(problem.ring, [f])))
+        mu_br, mu_br_rel, tau_br = mu_BR(f, X), mu_BR_rel(f, X), tau_BR(f, X)
         rows += [("mu_f", mu_f), ("mu_br", mu_br), ("mu_br_rel", mu_br_rel), ("tau_br", tau_br)]
         checks = [
             IdentityCheck("ambient_bruce_roberts", mu_br, mu_f),

@@ -79,7 +79,7 @@ class VarietyGerm:
 
     @cached_property
     def ideal_basis(self) -> StandardBasis:
-        return standard_basis(self.ideal, with_representations=False)
+        return standard_basis(self.ideal)
 
     @cached_property
     def dimension(self) -> int:
@@ -110,17 +110,11 @@ class TangentModule:
 
 def _interreduce(ring: RingSpec, rank: int, gens) -> list[ModuleElement]:
     """Drop every generator that already lies in the span of the others."""
-    seen = set()
-    kept: list[ModuleElement] = []
-    for g in gens:
-        sig = g.signature()
-        if g.terms and sig not in seen:
-            seen.add(sig)
-            kept.append(g)
+    kept = list(dict.fromkeys(gens))
     i = 0
     while i < len(kept) and len(kept) > 1:
         others = kept[:i] + kept[i + 1 :]
-        basis = standard_basis(Submodule(ring, rank, others), with_representations=False)
+        basis = standard_basis(Submodule(ring, rank, others))
         if basis.contains(kept[i]):
             kept.pop(i)
         else:
@@ -140,16 +134,11 @@ def _compute_theta(X: VarietyGerm) -> TangentModule:
         row += [ModuleElement.from_polynomial(g) for g in X.generators]
         relations = syzygies(row)  # submodule of O^(n+k)
         projected = []
-        seen = set()
         for rel in relations.generators:
             vec = {(c, mono): coeff for (c, mono), coeff in rel.terms.items() if c < n}
             if vec:
-                el = ModuleElement._raw(ring, n, vec)
-                sig = el.signature()
-                if sig not in seen:
-                    seen.add(sig)
-                    projected.append(el)
-        tangent_r = Submodule(ring, n, projected)
+                projected.append(ModuleElement._raw(ring, n, vec))
+        tangent_r = Submodule(ring, n, list(dict.fromkeys(projected)))
         result = tangent_r if result is None else intersect(result, tangent_r)
     reduced = _interreduce(ring, n, result.generators)
     return TangentModule(Submodule(ring, n, reduced))

@@ -88,7 +88,7 @@ def _verify_icis_cached(ring: RingSpec, gens: tuple[Polynomial, ...]) -> IcisRes
     if expected < 0:
         return IcisResult(False, reason=f"{k} generators in {n} variables")
     ideal = Submodule.ideal(ring, gens)
-    basis = standard_basis(ideal, with_representations=False)
+    basis = standard_basis(ideal)
     dim = krull_dimension(basis)
     if dim != expected:
         return IcisResult(False, reason=f"dimension {dim}, expected {expected}")

@@ -18,17 +18,6 @@ from .ring import Polynomial, RingSpec
 from .standard_basis import ModuleElement, Submodule, local_colength, standard_basis
 
 
-def _dedupe(elements) -> list[ModuleElement]:
-    seen = set()
-    out = []
-    for el in elements:
-        sig = el.signature()
-        if sig not in seen:
-            seen.add(sig)
-            out.append(el)
-    return out
-
-
 def syzygies(gens: Sequence[ModuleElement], *, max_steps: int | None = None) -> Submodule:
     """Generators of the relation module {a in O^r : sum a_i * g_i = 0}.
 
@@ -53,16 +42,14 @@ def syzygies(gens: Sequence[ModuleElement], *, max_steps: int | None = None) -> 
         vec[(m + i, zero)] = Fraction(1)
         graph.append(ModuleElement._raw(ring, m + r, vec))
     order = ModuleOrder.block_eliminating(LocalOrder(ring), m)
-    sb = standard_basis(
-        Submodule(ring, m + r, graph), order, with_representations=False, max_steps=max_steps
-    )
+    sb = standard_basis(Submodule(ring, m + r, graph), order, max_steps=max_steps)
     tags = []
     for el, (lead_comp, _) in zip(sb.elements, sb.lead_terms):
         if lead_comp >= m:
             # Lead in the trailing block forces the whole leading block to vanish.
             vec = {(c - m, mono): coeff for (c, mono), coeff in el.terms.items()}
             tags.append(ModuleElement._raw(ring, r, vec))
-    return Submodule(ring, r, _dedupe(tags))
+    return Submodule(ring, r, list(dict.fromkeys(tags)))
 
 
 def intersect(M: Submodule, N: Submodule, *, max_steps: int | None = None) -> Submodule:
@@ -83,7 +70,7 @@ def intersect(M: Submodule, N: Submodule, *, max_steps: int | None = None) -> Su
                 combo = combo + M.generators[i] * comps[i]
         if combo:
             out.append(combo)
-    return Submodule(M.ring, M.rank, _dedupe(out))
+    return Submodule(M.ring, M.rank, list(dict.fromkeys(out)))
 
 
 def product(I: Submodule, J: Submodule) -> Submodule:
@@ -96,20 +83,7 @@ def product(I: Submodule, J: Submodule) -> Submodule:
     for a in I.polynomials():
         for b in J.polynomials():
             polys.append(a * b)
-    return Submodule.ideal(I.ring, _dedupe_polys(polys))
-
-
-def _dedupe_polys(polys) -> list[Polynomial]:
-    seen = set()
-    out = []
-    for p in polys:
-        if p.is_zero():
-            continue
-        sig = frozenset(p.terms.items())
-        if sig not in seen:
-            seen.add(sig)
-            out.append(p)
-    return out
+    return Submodule.ideal(I.ring, list(dict.fromkeys(polys)))
 
 
 def module_sum(M: Submodule, N: Submodule) -> Submodule:
@@ -150,7 +124,7 @@ def jacobian_minors(fs: Sequence[Polynomial], k: int) -> Submodule:
         for cols in combinations(range(ring.n), k):
             matrix = [[jacobian[r][c] for c in cols] for r in rows]
             minors.append(_determinant(matrix, ring))
-    return Submodule.ideal(ring, _dedupe_polys(minors))
+    return Submodule.ideal(ring, list(dict.fromkeys(minors)))
 
 
 def submodule_pullback(M: Submodule, N: Submodule, *, max_steps: int | None = None) -> Submodule:
@@ -167,7 +141,7 @@ def submodule_pullback(M: Submodule, N: Submodule, *, max_steps: int | None = No
         vec = {(c, mono): coeff for (c, mono), coeff in rel.terms.items() if c < r}
         if vec:
             projected.append(ModuleElement._raw(M.ring, r, vec))
-    return Submodule(M.ring, r, _dedupe(projected))
+    return Submodule(M.ring, r, list(dict.fromkeys(projected)))
 
 
 def subquotient_dimension(M: Submodule, N: Submodule, *, max_steps: int | None = None):
@@ -183,7 +157,7 @@ def subquotient_dimension(M: Submodule, N: Submodule, *, max_steps: int | None =
         if N.is_zero():
             return 0
         raise ContainmentViolation("second module is not contained in the first")
-    sb = standard_basis(M, with_representations=False, max_steps=max_steps)
+    sb = standard_basis(M, max_steps=max_steps)
     for g in N.generators:
         if not sb.contains(g):
             raise ContainmentViolation("second module is not contained in the first")

@@ -1,7 +1,8 @@
 """Local monomial orderings and their extensions to free modules.
 
-Every ordering here is realized as a key function mapping a (monomial) or
-(component, monomial) pair to a tuple of ints such that the order relation
+Every ordering here is realized as a key function mapping a monomial
+(`negdegrevlex_key`) or a (component, monomial) pair
+(`ModuleOrder.term_key`) to a tuple of ints such that the order relation
 coincides with lexicographic comparison of keys.  Lead terms are then just
 `max(..., key=...)` over term dicts, and the key is injective, so maxima
 are unique and all computations are deterministic.
@@ -9,9 +10,7 @@ are unique and all computations are deterministic.
 
 from __future__ import annotations
 
-from .ring import Monomial, RingSpec, negdegrevlex_key
-
-GREATER, EQUAL, LESS = 1, 0, -1
+from .ring import RingSpec, negdegrevlex_key
 
 
 class LocalOrder:
@@ -26,17 +25,6 @@ class LocalOrder:
 
     def __init__(self, ring: RingSpec):
         self.ring = ring
-
-    def key(self, mono: Monomial):
-        return negdegrevlex_key(mono)
-
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        ka, kb = negdegrevlex_key(a), negdegrevlex_key(b)
-        if ka > kb:
-            return GREATER
-        if ka < kb:
-            return LESS
-        return EQUAL
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LocalOrder) and self.ring == other.ring
@@ -83,12 +71,6 @@ class ModuleOrder:
             raise ValueError("leading block must contain at least one component")
         return cls(base, "block", lead_rank)
 
-    def key(self, component: int, mono: Monomial):
-        body = negdegrevlex_key(mono) + (-component,)
-        if self.scheme == "top":
-            return body
-        return (1 if component < self.lead_rank else 0,) + body
-
     def term_key(self):
         """Key function on (component, monomial) pairs."""
         if self.scheme == "top":
@@ -103,14 +85,6 @@ class ModuleOrder:
             c, m = term
             return (1 if c < lead_rank else 0,) + negdegrevlex_key(m) + (-c,)
         return block_key
-
-    def compare(self, a: tuple[int, Monomial], b: tuple[int, Monomial]) -> int:
-        ka, kb = self.key(*a), self.key(*b)
-        if ka > kb:
-            return GREATER
-        if ka < kb:
-            return LESS
-        return EQUAL
 
     def __eq__(self, other) -> bool:
         return (
@@ -127,8 +101,3 @@ class ModuleOrder:
         if self.scheme == "top":
             return f"ModuleOrder.top({self.base!r})"
         return f"ModuleOrder.block({self.base!r}, lead_rank={self.lead_rank})"
-
-
-def compare(order: LocalOrder, a: Monomial, b: Monomial) -> int:
-    """Compare two monomials; returns 1 if a beats b, -1 if b beats a, 0 on equality."""
-    return order.compare(a, b)

@@ -21,11 +21,6 @@ Monomial = tuple[int, ...]
 _IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-def mono_deg(a: Monomial) -> int:
-    """Total degree of a monomial."""
-    return sum(a)
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -258,11 +253,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<{format_polynomial(self)}>"
-
-
-def partial_derivative(p: Polynomial, index: int) -> Polynomial:
-    """Exact formal partial derivative of p with respect to variable `index`."""
-    return p.derivative(index)
 
 
 def gradient(p: Polynomial) -> list[Polynomial]:

@@ -194,9 +194,6 @@ class ModuleElement:
         if self.ring != other.ring or self.rank != other.rank:
             raise ValueError("module elements live in different modules")
 
-    def signature(self) -> frozenset:
-        return frozenset(self.terms.items())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ModuleElement)
@@ -206,7 +203,7 @@ class ModuleElement:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.rank, self.signature()))
+        return hash((self.ring, self.rank, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
@@ -291,44 +288,24 @@ class _Entry:
         self.lc = lc
         self.ecart = ecart
         self.scale = scale
-        self.index = index  # position in the generator list, None for recruits
+        self.index = index  # certificates only: position in the generator list
         self.unit = unit    # recruits only: scale*vec = unit*f - sum quot[j]*g_j
         self.quot = quot
 
 
-def _vec_axpy(target: Vec, source: Vec, shift: Monomial, factor: Fraction):
-    """target += factor * x^shift * source, in place."""
-    for (comp, mono), coeff in source.items():
-        key = (comp, mono_mul(mono, shift))
-        val = target.get(key, 0) + factor * coeff
-        if val:
-            target[key] = val
-        else:
-            del target[key]
+def _vec_axpy(target: Vec, source: Vec, shift: Monomial, factor: Fraction,
+              bound: int | None = None):
+    """target += factor * x^shift * source, in place.
 
-
-def _vec_axpy_bounded(target: Vec, source: Vec, shift: Monomial, factor: Fraction, bound: int):
-    """Like _vec_axpy but discarding all terms of total degree >= bound.
-
+    With `bound`, every product term of total degree >= bound is discarded.
     Discarded terms lie in m^bound, so this is exact arithmetic on
     representatives modulo m^bound.
     """
-    base = sum(shift)
+    room = None if bound is None else bound - sum(shift)
     for (comp, mono), coeff in source.items():
-        if base + sum(mono) >= bound:
+        if room is not None and sum(mono) >= room:
             continue
         key = (comp, mono_mul(mono, shift))
-        val = target.get(key, 0) + factor * coeff
-        if val:
-            target[key] = val
-        else:
-            del target[key]
-
-
-def _poly_axpy(target: dict, source: dict, shift: Monomial, factor: Fraction):
-    """Same as _vec_axpy for scalar (monomial-keyed) dicts."""
-    for mono, coeff in source.items():
-        key = mono_mul(mono, shift)
         val = target.get(key, 0) + factor * coeff
         if val:
             target[key] = val
@@ -383,31 +360,26 @@ def _make_entry(vec: Vec, keyf, index=None) -> _Entry:
     return _Entry(vec, lt, vec[lt], maxdeg - sum(lt[1]), scale, index)
 
 
-def _mora_nf(f_vec: Vec, entries: list[_Entry], keyf, budget: _Budget, track: bool, bound: int | None = None):
+def _mora_nf(f_vec: Vec, entries: list[_Entry], keyf, budget: _Budget,
+             bound: int | None = None, one: Vec | None = None):
     """Mora weak normal form of f_vec against `entries`.
 
     Returns (remainder, unit, quotients); the remainder is content-
     normalized, which is harmless since a weak normal form is only defined
-    up to units anyway.  When track is set, unit and quotients are
-    monomial-keyed coefficient dicts satisfying
+    up to units anyway.  When `one` (the constant 1 as a rank-1 vector) is
+    given, unit and quotients are rank-1 vectors satisfying
 
         unit*f = sum quotients[j]*g_j + remainder,   unit(0) != 0,
 
-    for the semantic generators g_j (entry scales included).
+    for the semantic generators g_j (entry scales included); otherwise
+    unit is None and quotients is empty.  `bound` works modulo m^bound as
+    in _vec_axpy and is never combined with `one`.
     """
-    ring_zero = None
+    track = one is not None
     h: Vec = dict(f_vec)
     scale = _normalize(h) if h else _ONE  # semantic remainder = scale*h
-    unit = None
-    quot: dict[int, dict] = {}
-    if track:
-        for e in entries:
-            if e.lt is not None:
-                ring_zero = (0,) * len(e.lt[1])
-                break
-        if ring_zero is None and h:
-            ring_zero = (0,) * len(next(iter(h))[1])
-        unit = {ring_zero: _ONE} if ring_zero is not None else {}
+    unit = dict(one) if track else None
+    quot: dict[int, Vec] = {}
     reducers = list(entries)
     while h:
         lt_h, maxdeg_h = _lead_and_maxdeg(h, keyf)
@@ -439,28 +411,23 @@ def _mora_nf(f_vec: Vec, entries: list[_Entry], keyf, budget: _Budget, track: bo
             )
         shift = mono_div(mono_h, chosen.lt[1])
         factor = h[lt_h] / chosen.lc
-        if bound is None:
-            _vec_axpy(h, chosen.vec, shift, -factor)
-        else:
-            _vec_axpy_bounded(h, chosen.vec, shift, -factor, bound)
+        _vec_axpy(h, chosen.vec, shift, -factor, bound)
         if track:
             m_coeff = scale * factor / chosen.scale
             if chosen.index is not None:
-                _poly_axpy(quot.setdefault(chosen.index, {}), {ring_zero: _ONE}, shift, m_coeff)
+                _vec_axpy(quot.setdefault(chosen.index, {}), one, shift, m_coeff)
             else:
-                _poly_axpy(unit, chosen.unit, shift, -m_coeff)
+                _vec_axpy(unit, chosen.unit, shift, -m_coeff)
                 for j, qd in chosen.quot.items():
-                    _poly_axpy(quot.setdefault(j, {}), qd, shift, -m_coeff)
+                    _vec_axpy(quot.setdefault(j, {}), qd, shift, -m_coeff)
         if h:
             scale *= _normalize(h)
-    if track and unit is not None and scale != 1:
+    if track and scale != 1:
         # rescale so the identity matches the normalized remainder exactly
         inv = 1 / scale
-        for key in unit:
-            unit[key] *= inv
-        for qd in quot.values():
-            for key in qd:
-                qd[key] *= inv
+        for vec in (unit, *quot.values()):
+            for key in vec:
+                vec[key] *= inv
     return h, unit, quot
 
 
@@ -507,17 +474,19 @@ def mora_normal_form(
     entries = [
         _make_entry(dict(g.terms), keyf, index=i) for i, g in enumerate(gens) if g.terms
     ]
-    index_map = [i for i, g in enumerate(gens) if g.terms]
     budget = _Budget(max_steps if max_steps is not None else DEFAULT_MAX_STEPS)
-    rem, unit, quot = _mora_nf(dict(f.terms), entries, keyf, budget, track=True)
-    if unit is None or not unit:
-        unit = {ring.zero_monomial(): _ONE}
+    one = {(0, ring.zero_monomial()): _ONE}
+    rem, unit, quot = _mora_nf(dict(f.terms), entries, keyf, budget, one=one)
+
+    def poly(vec: Vec) -> Polynomial:
+        return Polynomial._raw(ring, {mono: c for (_, mono), c in vec.items()})
+
     quotients = [Polynomial.zero(ring)] * len(gens)
-    for local_idx, qd in quot.items():
-        quotients[index_map[local_idx]] = Polynomial._raw(ring, qd)
+    for j, qd in quot.items():
+        quotients[j] = poly(qd)
     return (
         ModuleElement._raw(ring, rank, rem),
-        MoraCertificate(Polynomial._raw(ring, unit), tuple(quotients)),
+        MoraCertificate(poly(unit), tuple(quotients)),
     )
 
 
@@ -525,33 +494,25 @@ class StandardBasis:
     """A standard basis of a submodule under a fixed module order.
 
     Every input generator reduces to zero against `elements`, and the
-    S-element of every critical pair of `elements` does as well.  When
-    representations are tracked, `representations[i]` gives polynomials
-    c_1..c_r with elements[i] = sum_j c_j * generator_j exactly.
+    S-element of every critical pair of `elements` does as well.  A basis
+    computed with `truncated_at=D` is one of module + m^D * O^rank and
+    refuses membership queries.
     """
 
-    __slots__ = (
-        "ambient", "order", "elements", "lead_terms", "representations",
-        "truncated_at", "_entries",
-    )
+    __slots__ = ("ambient", "order", "elements", "lead_terms", "truncated_at", "_entries")
 
-    def __init__(self, ambient, order, elements, lead_terms, representations=None,
-                 truncated_at=None):
+    def __init__(self, ambient, order, elements, lead_terms, truncated_at=None):
         self.ambient = ambient
         self.order = order
         self.elements = tuple(elements)
         self.lead_terms = tuple(lead_terms)
-        self.representations = representations
         self.truncated_at = truncated_at
         self._entries = None
 
     def _reducer_entries(self) -> list[_Entry]:
         if self._entries is None:
             keyf = self.order.term_key()
-            self._entries = [
-                _make_entry(dict(e.terms), keyf, index=i)
-                for i, e in enumerate(self.elements)
-            ]
+            self._entries = [_make_entry(dict(e.terms), keyf) for e in self.elements]
         return self._entries
 
     def normal_form(self, f: ModuleElement, max_steps: int | None = None) -> ModuleElement:
@@ -561,9 +522,7 @@ class StandardBasis:
         if f.ring != self.ambient.ring or f.rank != self.ambient.rank:
             raise ValueError("element does not live in the ambient module")
         budget = _Budget(max_steps if max_steps is not None else DEFAULT_MAX_STEPS)
-        rem, _, _ = _mora_nf(
-            dict(f.terms), self._reducer_entries(), self.order.term_key(), budget, track=False
-        )
+        rem, _, _ = _mora_nf(dict(f.terms), self._reducer_entries(), self.order.term_key(), budget)
         return ModuleElement._raw(f.ring, f.rank, rem)
 
     def contains(self, f: ModuleElement) -> bool:
@@ -577,7 +536,6 @@ def standard_basis(
     module: Submodule,
     order: ModuleOrder | None = None,
     *,
-    with_representations: bool = True,
     max_steps: int | None = None,
     truncate_degree: int | None = None,
 ) -> StandardBasis:
@@ -585,92 +543,55 @@ def standard_basis(
 
     Critical pairs are processed smallest lcm-degree first; reducers are
     chosen by minimal ecart with ties broken by list position.  The result
-    is minimal: no lead term divides another.
+    is minimal: no lead term divides another, and every element is a
+    primitive integer vector with positive lead coefficient.
 
     With `truncate_degree=D` all terms of degree >= D are discarded, i.e.
     the module is replaced by module + m^D * O^rank.  That is only useful
-    for colength counting (see local_colength); such bases carry no
-    representations and refuse membership queries.
+    for colength counting (see local_colength); such bases refuse
+    membership queries.
     """
     ring = module.ring
     if order is None:
         order = ModuleOrder.term_over_position(LocalOrder(ring))
-    if truncate_degree is not None and with_representations:
-        raise ValueError("representations are not defined under truncation")
     keyf = order.term_key()
     budget = _Budget(max_steps if max_steps is not None else DEFAULT_MAX_STEPS)
     bound = truncate_degree
-    r = len(module.generators)
 
     basis: list[_Entry] = []
-    reps: list[list[Polynomial]] | None = [] if with_representations else None
+    pairs: list[tuple[int, int, int]] = []
 
-    def push(vec: Vec, rep: list[Polynomial] | None):
+    def push(vec: Vec):
         # store primitive integer vectors with positive lead coefficient
-        vec = dict(vec)
-        mu = _normalize(vec)
+        _normalize(vec)
         lt, maxdeg = _lead_and_maxdeg(vec, keyf)
         if vec[lt] < 0:
             vec = {k: -c for k, c in vec.items()}
-            mu = -mu
-        if rep is not None and mu != 1:
-            inv = 1 / mu
-            rep = [p * inv for p in rep]
         idx = len(basis)
-        basis.append(_Entry(vec, lt, vec[lt], maxdeg - sum(lt[1]), _ONE, index=idx))
-        if reps is not None:
-            reps.append(rep)
+        basis.append(_Entry(vec, lt, vec[lt], maxdeg - sum(lt[1]), _ONE))
         for other in range(idx):
             o_lt = basis[other].lt
             if o_lt[0] == lt[0]:
                 lcm = mono_lcm(o_lt[1], lt[1])
                 heapq.heappush(pairs, (sum(lcm), other, idx))
 
-    pairs: list[tuple[int, int, int]] = []
-    for i, g in enumerate(module.generators):
-        vec = dict(g.terms)
-        if bound is not None:
-            vec = {k: c for k, c in vec.items() if sum(k[1]) < bound}
-            if not vec:
-                continue
-        rep = None
-        if with_representations:
-            rep = [Polynomial.zero(ring) for _ in range(r)]
-            rep[i] = Polynomial.constant(ring, 1)
-        push(vec, rep)
+    for g in module.generators:
+        vec = {k: c for k, c in g.terms.items() if bound is None or sum(k[1]) < bound}
+        if vec:
+            push(vec)
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
         gi, gj = basis[i], basis[j]
         lcm = mono_lcm(gi.lt[1], gj.lt[1])
-        shift_i = mono_div(lcm, gi.lt[1])
-        shift_j = mono_div(lcm, gj.lt[1])
         s_vec: Vec = {}
-        if bound is None:
-            _vec_axpy(s_vec, gi.vec, shift_i, gj.lc)
-            _vec_axpy(s_vec, gj.vec, shift_j, -gi.lc)
-        else:
-            _vec_axpy_bounded(s_vec, gi.vec, shift_i, gj.lc, bound)
-            _vec_axpy_bounded(s_vec, gj.vec, shift_j, -gi.lc, bound)
+        _vec_axpy(s_vec, gi.vec, mono_div(lcm, gi.lt[1]), gj.lc, bound)
+        _vec_axpy(s_vec, gj.vec, mono_div(lcm, gj.lt[1]), -gi.lc, bound)
         if not s_vec:
             continue
-        rem, unit, quot = _mora_nf(
-            s_vec, basis, keyf, budget, track=with_representations, bound=bound
-        )
-        if not rem:
-            continue
-        rep = None
-        if with_representations:
-            u = Polynomial._raw(ring, unit)
-            mono_i = Polynomial.term(ring, shift_i, gj.lc)
-            mono_j = Polynomial.term(ring, shift_j, gi.lc)
-            rep = [
-                u * (mono_i * a - mono_j * b) for a, b in zip(reps[i], reps[j])
-            ]
-            for t, qd in quot.items():
-                q = Polynomial._raw(ring, qd)
-                rep = [acc - q * p for acc, p in zip(rep, reps[t])]
-        push(rem, rep)
+        rem, _, _ = _mora_nf(s_vec, basis, keyf, budget, bound)
+        if rem:
+            push(rem)
 
     # Minimalize: keep only elements whose lead term is not divisible by the
     # lead term of another kept element.  Processing by ascending lead degree
@@ -686,12 +607,7 @@ def standard_basis(
 
     elements = [ModuleElement._raw(ring, module.rank, basis[t].vec) for t in kept]
     lead_terms = [basis[t].lt for t in kept]
-    representations = None
-    if with_representations:
-        representations = tuple(tuple(reps[t]) for t in kept)
-    return StandardBasis(
-        module, order, elements, lead_terms, representations, truncated_at=truncate_degree
-    )
+    return StandardBasis(module, order, elements, lead_terms, truncated_at=truncate_degree)
 
 
 def colength(basis: StandardBasis):
@@ -763,14 +679,11 @@ def local_colength(module: Submodule, order: ModuleOrder | None = None, *,
     untruncated computation decides.
     """
     for degree in _TRUNCATION_LADDER:
-        basis = standard_basis(
-            module, order, with_representations=False, max_steps=max_steps,
-            truncate_degree=degree,
-        )
+        basis = standard_basis(module, order, max_steps=max_steps, truncate_degree=degree)
         value, top = _colength_stats(basis)
         if is_finite(value) and top + 2 <= degree:
             return value
-    basis = standard_basis(module, order, with_representations=False, max_steps=max_steps)
+    basis = standard_basis(module, order, max_steps=max_steps)
     return colength(basis)
 
 

@@ -80,7 +80,7 @@ def as_vec(p):
 
 
 def ideal_colength(ring, polys):
-    return colength(standard_basis(Submodule.ideal(ring, polys), with_representations=False))
+    return colength(standard_basis(Submodule.ideal(ring, polys)))
 
 
 # Classical ADE normal forms with their Milnor numbers.

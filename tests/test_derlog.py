@@ -31,6 +31,7 @@ from germs import (
     R2,
     R3,
     R4,
+    germ,
     poly,
 )
 
@@ -40,7 +41,7 @@ def vec(ring, *exprs):
 
 
 def theta_basis(X):
-    return standard_basis(X.tangent_module.theta, with_representations=False)
+    return standard_basis(X.tangent_module.theta)
 
 
 def modules_equal(A, B):
@@ -101,7 +102,7 @@ def test_theta_of_quadric_contains_euler_and_rotations():
 
 
 def test_theta_completeness_against_kernel_oracle():
-    for X, degree in ((CROSS, 3), (QUADRIC4, 2), (CONE3, 2)):
+    for X, degree in ((CROSS, 3), (QUADRIC4, 2), (CONE3, 2), (AXIS3, 3), (CURVE_K2, 3)):
         basis = theta_basis(X)
         ideal_basis = X.ideal_basis
         fields = oracle.truncated_tangent_fields(
@@ -160,6 +161,14 @@ def test_koszul_fields_for_hypersurfaces():
                 comps[j] = -grads[i]
                 assert basis.contains(ModuleElement.from_polynomials(comps))
             assert basis.contains(ModuleElement.unit_vector(X.ring, n, i) * h)
+
+
+def test_theta_of_c4_pencil_has_thirteen_generators_in_either_order():
+    # minimisation drops generators here (21 -> 13); an irredundant generating
+    # set over a local ring is minimal (Nakayama), so the count is mu(Theta_X)
+    a, b = "x^2 + y^2 + z^2 + w^2", "x^2 + 2*y^2 + 3*z^2 + 4*w^2"
+    for exprs in ((a, b), (b, a)):
+        assert len(germ(R4, *exprs).tangent_module.generators) == 13
 
 
 # ------------------------------------------------------------------ df_theta
