@@ -223,9 +223,17 @@ def main(argv=None) -> int:
         )
     args = parser.parse_args(argv)
 
+    previous_cap = None
     if args.max_steps is not None:
-        set_default_max_steps(args.max_steps)
+        previous_cap = set_default_max_steps(args.max_steps)
+    try:
+        return _run(args)
+    finally:
+        if previous_cap is not None:
+            set_default_max_steps(previous_cap)
 
+
+def _run(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             text = handle.read()

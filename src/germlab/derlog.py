@@ -10,9 +10,16 @@ f_r are the first n coordinates of the syzygies of the row
 
     (df_r/dx_1, ..., df_r/dx_n, f_1, ..., f_k),
 
-and Theta_X is the intersection of those projections over r.  The three
-Bruce-Roberts-type numbers are colengths of df(Theta_X), optionally
-enlarged by the ideal of X or by the function itself.
+and Theta_X is the intersection of those projections over r.  The
+generators are then minimised with one more syzygy computation (see
+_minimise): over the local ring O, a generator g_i is redundant exactly
+when some relation sum_j a_j g_j = 0 has a unit a_i, so only the constant
+parts a(0) of the relations matter.  By Nakayama's lemma an irredundant
+generating set is minimal, so the number of generators kept is the
+minimal number of generators of Theta_X, whatever the input order.
+
+The three Bruce-Roberts-type numbers are colengths of df(Theta_X),
+optionally enlarged by the ideal of X or by the function itself.
 """
 
 from __future__ import annotations
@@ -108,26 +115,59 @@ class TangentModule:
         return self.theta.generators
 
 
-def _interreduce(ring: RingSpec, rank: int, gens) -> list[ModuleElement]:
-    """Drop every generator that already lies in the span of the others."""
-    kept = list(dict.fromkeys(gens))
-    i = 0
-    while i < len(kept) and len(kept) > 1:
-        others = kept[:i] + kept[i + 1 :]
-        basis = standard_basis(Submodule(ring, rank, others))
-        if basis.contains(kept[i]):
-            kept.pop(i)
-        else:
-            i += 1
+def _minimise(gens: list[ModuleElement]) -> list[ModuleElement]:
+    """Drop, in order, every generator that lies in the span of the others.
+
+    Let V in Q^s be spanned by the constant parts a(0) of the syzygies a
+    of g_1..g_s.  Walking i = 1..s with D the generators dropped so far,
+    g_i lies in the span of the remaining ones iff some syzygy of the
+    remaining generators has a unit at i, i.e. iff some v in
+
+        W = {v in V : v_d = 0 for every d in D}
+
+    has v_i != 0.  Syzygies of the remaining generators are syzygies of
+    all of them, so their constant parts lie in W.  Conversely, every
+    dropped g_d lies in the span of the remaining generators, and its
+    coefficient a_d in a syzygy a with a(0) in W lies in m; substituting
+    for g_d gives a syzygy of the remaining generators that differs from
+    a only by coefficients in m, so it has the same constant part.  W is
+    kept as a row basis: dropping g_i eliminates column i with a row that
+    is nonzero there and discards that row.  This keeps exactly the
+    generators that testing each one for membership in the span of the
+    others, in the same order, would keep, from a single syzygy
+    computation instead of one standard basis per generator.
+    """
+    zero = gens[0].ring.zero_monomial()
+    rows = []
+    for rel in syzygies(gens).generators:
+        row = {c: coeff for (c, mono), coeff in rel.terms.items() if mono == zero}
+        if row:
+            rows.append(row)
+    kept = []
+    remaining = len(gens)
+    for i, g in enumerate(gens):
+        at = next((t for t, row in enumerate(rows) if i in row), None)
+        if at is None or remaining == 1:  # never drop the last generator
+            kept.append(g)
+            continue
+        remaining -= 1
+        pivot = rows.pop(at)
+        for row in rows:
+            if i in row:
+                factor = row[i] / pivot[i]
+                for c, coeff in pivot.items():
+                    val = row.get(c, 0) - factor * coeff
+                    if val:
+                        row[c] = val
+                    else:
+                        del row[c]
     return kept
 
 
-def _compute_theta(X: VarietyGerm) -> TangentModule:
+def _unminimised_theta(X: VarietyGerm) -> list[ModuleElement]:
+    """Generators of Theta_X for a proper germ, before minimisation."""
     ring = X.ring
     n = ring.n
-    if X.is_ambient:
-        return TangentModule(Submodule.full(ring, n))
-    k = X.k
     result: Submodule | None = None
     for f_r in X.generators:
         row = [ModuleElement.from_polynomial(f_r.derivative(i)) for i in range(n)]
@@ -140,8 +180,14 @@ def _compute_theta(X: VarietyGerm) -> TangentModule:
                 projected.append(ModuleElement._raw(ring, n, vec))
         tangent_r = Submodule(ring, n, list(dict.fromkeys(projected)))
         result = tangent_r if result is None else intersect(result, tangent_r)
-    reduced = _interreduce(ring, n, result.generators)
-    return TangentModule(Submodule(ring, n, reduced))
+    return list(dict.fromkeys(result.generators))
+
+
+def _compute_theta(X: VarietyGerm) -> TangentModule:
+    n = X.ring.n
+    if X.is_ambient:
+        return TangentModule(Submodule.full(X.ring, n))
+    return TangentModule(Submodule(X.ring, n, _minimise(_unminimised_theta(X))))
 
 
 def theta_X(X: VarietyGerm) -> TangentModule:

@@ -664,19 +664,22 @@ def _count_staircase(leads: list[Monomial], bounds: list[int]):
     return count, top
 
 
-_TRUNCATION_LADDER = (8, 12, 16, 20, 24, 28)
+_TRUNCATION_LADDER = (2, 3, 4, 6, 8, 12, 16, 20, 24, 28)
 
 
 def local_colength(module: Submodule, order: ModuleOrder | None = None, *,
                    max_steps: int | None = None):
     """Colength of a submodule, computed with certified degree truncation.
 
-    Standard bases are computed modulo m^D for increasing D; once the
-    counted staircase has top degree d with d + 2 <= D, every monomial of
-    degree d+1 .. D-1 lies in the lead module, so m^(d+1) is contained in
-    the module (Nakayama) and the count is exact.  If no truncation level
-    certifies (in particular whenever the colength is infinite), the exact
-    untruncated computation decides.
+    Standard bases are computed modulo m^D for D = 2, 3, 4, 6, 8, 12, ...,
+    28; once the counted staircase has top degree d with d + 2 <= D, every
+    monomial of degree d+1 .. D-1 lies in the lead module, so m^(d+1) is
+    contained in the module (Nakayama) and the count is exact.  A colength
+    whose staircase tops out at degree d is therefore certified at the
+    first rung D >= d + 2: the ideal (x, y^2) at D = 3, a unit module at
+    D = 2.  The low rungs are cheap, and most colengths in practice are
+    small.  If no truncation level certifies (in particular whenever the
+    colength is infinite), the exact untruncated computation decides.
     """
     for degree in _TRUNCATION_LADDER:
         basis = standard_basis(module, order, max_steps=max_steps, truncate_degree=degree)

@@ -182,6 +182,20 @@ def test_max_steps_cap_aborts_with_exit_two(tmp_path, capsys):
     assert "reduction steps" in err
 
 
+def test_max_steps_cap_does_not_leak_into_later_calls(tmp_path, capsys):
+    from germlab.standard_basis import set_default_max_steps
+
+    milnor = "[ring]\nvariables = x, y, z\n[variety]\ng1 = x^3 + y^4 + z^5 + x*y*z\n"
+    try:
+        code, _, err = run(tmp_path, capsys, milnor, "milnor", "--machine", "--max-steps", "5")
+        assert code == 2 and "aborted after 5 reduction steps" in err
+        code, out, err = run(tmp_path, capsys, milnor, "milnor", "--machine")
+    finally:
+        set_default_max_steps(1_000_000)
+    assert code == 0, err
+    assert machine_block(out)["milnor"] == "11"
+
+
 def test_exit_three_on_corrupted_identity(tmp_path, capsys, monkeypatch):
     def corrupted(X, f, seed=42):
         rep = derived_invariants(X, f, seed=seed)

@@ -19,7 +19,10 @@ from germlab import (
     theta_X,
 )
 
+from germlab.derlog import _minimise, _unminimised_theta
+
 import _oracle as oracle
+import germs
 from germs import (
     AXIS3,
     CONE3,
@@ -31,6 +34,7 @@ from germs import (
     R2,
     R3,
     R4,
+    R5,
     germ,
     poly,
 )
@@ -169,6 +173,37 @@ def test_theta_of_c4_pencil_has_thirteen_generators_in_either_order():
     a, b = "x^2 + y^2 + z^2 + w^2", "x^2 + 2*y^2 + 3*z^2 + 4*w^2"
     for exprs in ((a, b), (b, a)):
         assert len(germ(R4, *exprs).tangent_module.generators) == 13
+
+
+def greedy_minimise(gens):
+    """Reference: drop, in order, each generator in the span of the others."""
+    kept = list(gens)
+    i = 0
+    while i < len(kept) and len(kept) > 1:
+        others = kept[:i] + kept[i + 1 :]
+        if standard_basis(Submodule(kept[i].ring, kept[i].rank, others)).contains(kept[i]):
+            kept.pop(i)
+        else:
+            i += 1
+    return kept
+
+
+def test_minimisation_matches_membership_greedy():
+    a, b = "x^2 + y^2 + z^2 + w^2", "x^2 + 2*y^2 + 3*z^2 + 4*w^2"
+    varieties = [X for X in vars(germs).values() if isinstance(X, VarietyGerm)]
+    varieties += [germ(R4, a, b), germ(R4, b, a)]
+    for X in varieties:
+        gens = _unminimised_theta(X)
+        for order in (gens, gens[::-1]):
+            assert _minimise(order) == greedy_minimise(order)
+
+
+def test_theta_of_c5_pencil_with_cubic_term_has_21_generators_in_either_order():
+    # the per-generator membership minimisation took minutes on this germ
+    a = "x^2 + y^2 + z^2 + w^2 + v^2"
+    b = "x^2 + 2*y^2 + 3*z^2 + 4*w^2 + 5*v^2 + v^3"
+    for exprs in ((a, b), (b, a)):
+        assert len(germ(R5, *exprs).tangent_module.generators) == 21
 
 
 # ------------------------------------------------------------------ df_theta

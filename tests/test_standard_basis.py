@@ -1,5 +1,6 @@
 """Mora normal forms, standard bases, colengths and dimensions."""
 
+import importlib
 import random
 
 import pytest
@@ -14,14 +15,16 @@ from germlab import (
     ReductionLimitExceeded,
     Submodule,
     colength,
+    df_theta,
     krull_dimension,
     local_colength,
+    module_sum,
     mora_normal_form,
     standard_basis,
 )
 
 import _oracle as oracle
-from germs import R1, R2, R3, poly
+from germs import D3_PAIRS, LOW_DIM_PAIRS, R1, R2, R3, poly
 
 
 def ideal(ring, *exprs):
@@ -296,6 +299,35 @@ def test_local_colength_beyond_first_truncation_rungs():
     # staircase reaches degree 13, so early truncation levels cannot certify
     module = ideal(R2, "x^2", "y^14")
     assert local_colength(module) == 28
+
+
+def test_local_colength_certifies_small_colengths_at_low_rungs(monkeypatch):
+    # the package re-exports the function under the submodule's name
+    sb = importlib.import_module("germlab.standard_basis")
+    rungs = []
+
+    def recorder(module, order=None, **kwargs):
+        rungs.append(kwargs.get("truncate_degree"))
+        return standard_basis(module, order, **kwargs)
+
+    monkeypatch.setattr(sb, "standard_basis", recorder)
+    assert local_colength(ideal(R2, "x", "y^2")) == 2
+    # the staircase {1, y} has top degree 1, certified once 1 + 2 <= D
+    assert rungs[-1] is not None and rungs[-1] <= 4
+
+
+def test_local_colength_matches_exact_on_bruce_roberts_modules():
+    for _, X, f in D3_PAIRS + LOW_DIM_PAIRS:
+        image = df_theta(f, X.tangent_module)
+        modules = (
+            image,
+            module_sum(image, X.ideal),
+            module_sum(image, Submodule.ideal(f.ring, [f])),
+        )
+        for module in modules:
+            exact = colength(standard_basis(module))
+            if exact is not INFINITE:
+                assert local_colength(module) == exact
 
 
 def test_truncated_basis_refuses_membership():
