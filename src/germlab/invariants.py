@@ -6,12 +6,26 @@ the classical recursive colength formula of Le and Greuel,
     mu_j + mu_{j-1} = dim O / ( (f_1..f_{j-1}) + minors_j(f_1..f_j) ),
 
 and the Tjurina number as the module colength of the Jacobian columns
-together with I*O^k inside O^k.  On top of these, the GSV-index, local
-Euler obstruction, Euler obstruction of a function, Brasselet number and
-d-th polar multiplicity are obtained by solving the identities that tie
-them to mu of the germ, of its f-slice and of a generic linear slice; the
-identities are heavily overdetermined, and every equation not used in the
-solution is re-checked exactly and reported.
+together with I*O^k inside O^k.
+
+On top of these, the GSV-index, local Euler obstruction, Euler
+obstruction of a function, Brasselet number and d-th polar multiplicity
+are obtained by solving the identities that tie them to mu of the germ,
+of its f-slice and of a generic linear slice; the identities are heavily
+overdetermined, and every equation not used in the solution is re-checked
+exactly and reported.
+
+A chain (g_1..g_k, p) that ends in a linear form p, such as the slice by
+the generic linear form or by a linear f, is computed in one variable
+less: the last variable with a nonzero coefficient in p is eliminated,
+and X cap {p = 0} is isomorphic to the germ of the restricted generators
+in C^(n-1).  Being an ICIS and the Milnor number belong to the germ, not
+to a chain that cuts it out, so once the chain (g_1..g_k) is verified, an
+admissible restricted chain gives the value of the full chain in C^n.  A
+restricted generator that vanishes, or a restricted chain that is not
+admissible, falls back to the full chain, so every accepted or rejected
+draw and every error is that of the full chain.  A nonlinear f keeps the
+full chain.
 """
 
 from __future__ import annotations
@@ -37,7 +51,7 @@ from .module_ops import (
     product,
     subquotient_dimension,
 )
-from .ring import Polynomial, RingSpec, gradient
+from .ring import Polynomial, RingSpec, gradient, restrict_to_hyperplane
 from .standard_basis import (
     ModuleElement,
     Submodule,
@@ -109,9 +123,14 @@ def milnor_icis(fs) -> int:
 
     Every truncation of the chain must itself be an ICIS (ICISViolation
     otherwise); an infinite intermediate colength signals a non-generic
-    ordering of the chain and raises InfiniteColength.
+    ordering of the chain and raises InfiniteColength.  A chain that ends
+    in a linear form is computed on its hyperplane, in one variable less,
+    with the same value and the same errors (see the module docstring).
     """
-    return _milnor_chain(tuple(fs))
+    fs = tuple(fs)
+    if len(fs) > 1:
+        return _slice_milnor(fs[:-1], fs[-1])
+    return _milnor_chain(fs)
 
 
 @lru_cache(maxsize=None)
@@ -133,6 +152,25 @@ def _milnor_chain(fs: tuple[Polynomial, ...]) -> int:
             )
         mu = value - mu
     return mu
+
+
+def _slice_milnor(gens: tuple[Polynomial, ...], h: Polynomial) -> int:
+    """The chain gens + (h,), on {h = 0} in one variable less for a linear h.
+
+    The chain of gens is verified first, because the full chain requires
+    it; a zero restriction or a restricted chain that is not admissible
+    falls back to the full chain, so every error is the one it raises.
+    """
+    ring = _validate_germ_functions(gens + (h,))
+    if ring.n > 1 and h.degree() == 1:
+        try:
+            _milnor_chain(gens)
+            restricted = restrict_to_hyperplane(gens, h)
+            if all(restricted):
+                return _milnor_chain(restricted)
+        except (ICISViolation, InfiniteColength):
+            pass
+    return _milnor_chain(gens + (h,))
 
 
 def tjurina_icis(X: VarietyGerm) -> int:
@@ -172,7 +210,11 @@ def generic_linear_form(X: VarietyGerm, seed: int) -> Polynomial:
 
     Coefficients are drawn uniformly from [-100, 100]; a draw is accepted
     iff I(X,0) + (p) verifies as an ICIS with finite slice Milnor number.
-    The same seed always yields the same form.
+    The slice Milnor number is computed on {p = 0} in n - 1 variables, by
+    eliminating the last variable that p involves, and on the full chain
+    (g_1..g_k, p) only when the restricted chain is not admissible; both
+    decide the same draws (see the module docstring).  The same seed
+    always yields the same form.
     """
     p, _ = _generic_slice(X, seed)
     return p

@@ -260,6 +260,45 @@ def gradient(p: Polynomial) -> list[Polynomial]:
     return [p.derivative(i) for i in range(p.ring.n)]
 
 
+def restrict_to_hyperplane(polys: Iterable[Polynomial], h: Polynomial) -> tuple[Polynomial, ...]:
+    """Images of polys on the hyperplane {h = 0} of a linear form h.
+
+    The last variable x_j with a nonzero coefficient c_j in h is eliminated
+    by x_j = -sum_{i != j} (c_i/c_j) x_i, so the images live in the ring
+    with x_j removed from the variable list, and each image, read back in
+    the original ring, is congruent to its polynomial modulo (h).
+    """
+    ring = h.ring
+    if h.constant_term() or h.degree() != 1:
+        raise ValueError(f"not a linear form: {h}")
+    j = max(mono.index(1) for mono in h.terms)
+    c_j = next(c for mono, c in h.terms.items() if mono[j])
+    sub_ring = RingSpec(ring.variables[:j] + ring.variables[j + 1 :])
+
+    def drop(mono: Monomial) -> Monomial:
+        return mono[:j] + mono[j + 1 :]
+
+    x_j = Polynomial._raw(
+        sub_ring, {drop(mono): -c / c_j for mono, c in h.terms.items() if not mono[j]}
+    )
+    powers = [Polynomial.constant(sub_ring, 1)]
+    images = []
+    for p in polys:
+        if p.ring != ring:
+            raise ValueError("mixed rings")
+        out: dict[Monomial, Fraction] = {}
+        for mono, coeff in p.terms.items():
+            e = mono[j]
+            while len(powers) <= e:
+                powers.append(powers[-1] * x_j)
+            rest = drop(mono)
+            for m, c in powers[e].terms.items():
+                key = mono_mul(rest, m)
+                out[key] = out.get(key, 0) + coeff * c
+        images.append(Polynomial(sub_ring, out))
+    return tuple(images)
+
+
 def negdegrevlex_key(mono: Monomial):
     """Sort key realizing the local degree order: larger key = larger monomial.
 

@@ -138,6 +138,14 @@ def test_exit_two_on_non_icis(tmp_path, capsys):
     assert out == ""
 
 
+def test_exit_two_on_non_icis_linear_slice(tmp_path, capsys):
+    a1 = "[ring]\nvariables = x, y, z, w\n[variety]\ng1 = x*y + z^2 + w^2\n[function]\nf = x\n"
+    code, out, err = run(tmp_path, capsys, a1, "invariants", "--machine")
+    assert code == 2
+    assert err == "error: the slice by f is not an ICIS (non-isolated singular locus)\n"
+    assert out == ""
+
+
 def test_exit_two_on_low_dimension(tmp_path, capsys):
     cone = "[ring]\nvariables = x, y, z\n[variety]\ng1 = x^2 + y^2 + z^2\n[function]\nf = x\n"
     code, _, err = run(tmp_path, capsys, cone, "invariants")

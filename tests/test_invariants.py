@@ -1,26 +1,36 @@
 """Milnor/Tjurina chains, slices, weights and the derived-invariant reports."""
 
+import random
+
 import pytest
 
 from germlab import (
     INFINITE,
     GenericityExhausted,
+    GermlabError,
     ICISViolation,
+    Polynomial,
     PreconditionViolation,
+    ReductionLimitExceeded,
     VarietyGerm,
     derived_invariants,
     detect_quasihomogeneous,
     generic_linear_form,
+    gradient,
+    is_finite,
     milnor_hypersurface,
     milnor_icis,
     mu_BR,
+    set_default_max_steps,
     tau_BR,
     tjurina_icis,
     verify_icis,
 )
-from germlab.invariants import _generic_slice
+from germlab.invariants import _generic_slice, _milnor_chain
+from germlab.ring import restrict_to_hyperplane
 
 import _oracle as oracle
+import germs
 from germs import (
     BRIESKORN3,
     CONE3,
@@ -192,14 +202,101 @@ def test_genericity_exhausted_on_fat_point():
 def test_slice_milnor_matches_direct_substitution():
     # the chain value for X cap p^-1(0) must equal the Milnor number of the
     # germ obtained by eliminating w = -(x + 2y + 3z)/5 into three variables
-    from fractions import Fraction
-
     h4 = poly("x^3 + y^7 + x*y^5 + z^2 + w^2", R4)
     p4 = poly("x + 2*y + 3*z + 5*w", R4)
-    chain_value = milnor_icis([h4, p4])
-    sub = poly("x + 2*y + 3*z", R3) * Fraction(-1, 5)
-    h3 = poly("x^3 + y^7 + x*y^5 + z^2", R3) + sub * sub
-    assert chain_value == milnor_hypersurface(h3) == 2
+    (h3,) = restrict_to_hyperplane([h4], p4)
+    assert h3.ring == R3
+    assert milnor_icis([h4, p4]) == _milnor_chain((h4, p4)) == milnor_hypersurface(h3) == 2
+
+
+def _linear(ring, coeffs):
+    return sum(
+        (c * Polynomial.variable(ring, i) for i, c in enumerate(coeffs) if c),
+        Polynomial.zero(ring),
+    )
+
+
+def _slice_forms(ring, seed):
+    """Each coordinate, seeded forms with zero coefficients, and a zero last one."""
+    rng = random.Random(seed)
+    n = ring.n
+    forms = [[int(i == j) for i in range(n)] for j in range(n)]
+    forms += [[rng.choice((-3, -1, 0, 2, 5)) for _ in range(n)] for _ in range(3)]
+    forms.append([rng.randint(1, 4) for _ in range(n - 1)] + [0])
+    return [_linear(ring, c) for c in forms if any(c)]
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except GermlabError as err:
+        return type(err), str(err)
+
+
+CORPUS = [
+    (name, X) for name, X in vars(germs).items()
+    if isinstance(X, VarietyGerm) and not X.is_ambient
+]
+
+
+@pytest.mark.parametrize("name, X", CORPUS, ids=[name for name, _ in CORPUS])
+def test_slice_milnor_matches_full_chain_on_corpus(name, X):
+    # milnor_icis restricts a chain that ends in a linear form; the full
+    # chain in all n variables is the reference
+    gens = X.generators
+    own = _outcome(lambda: _milnor_chain(gens))
+    for h in _slice_forms(X.ring, seed=len(name)):
+        full = _outcome(lambda: _milnor_chain(gens + (h,)))
+        assert _outcome(lambda: milnor_icis(gens + (h,))) == full, (name, h)
+        restricted = restrict_to_hyperplane(gens, h)
+        direct = _outcome(lambda: _milnor_chain(restricted)) if all(restricted) else None
+        if isinstance(own, int) and isinstance(direct, int):
+            # X cap {h = 0} is the restricted germ: same Milnor number
+            assert direct == full, (name, h)
+
+
+def test_slice_milnor_falls_back_when_restricted_chain_is_not_admissible():
+    # on w = 0 the first generator restricts to x^2 + z^2, singular along the
+    # y-axis, while X cap {w = 0} itself is an ICIS curve
+    gens = (poly("x^2 + y*w + z^2", R4), poly("y^2 + z^2 + w^2", R4))
+    w = poly("w", R4)
+    with pytest.raises(ICISViolation, match="non-isolated"):
+        _milnor_chain(restrict_to_hyperplane(gens, w))
+    assert milnor_icis(gens + (w,)) == _milnor_chain(gens + (w,)) == 5
+
+
+def test_linear_slice_is_computed_in_one_variable_less():
+    # the restricted chain needs far fewer reduction steps than the full one
+    chain = (poly("x^3 + y^3 + z^4 + w^5", R4), poly("x + y - z - w", R4))
+    previous = set_default_max_steps(200)
+    try:
+        assert milnor_icis(chain) == 12
+        with pytest.raises(ReductionLimitExceeded):
+            _milnor_chain(chain)
+    finally:
+        set_default_max_steps(previous)
+
+
+def test_slice_route_keeps_the_validation_errors():
+    g = poly("x^2 + y^2 + z^2 + w^2", R4)
+    for chain in ((g, poly("x", R3)), (g, poly("0", R4)), (g, poly("x + 1", R4))):
+        expected = _outcome(lambda: _milnor_chain(chain))
+        assert expected[0] is PreconditionViolation
+        assert _outcome(lambda: milnor_icis(chain)) == expected
+
+
+HYPERSURFACES = [(name, X) for name, X in CORPUS if X.k == 1]
+
+
+@pytest.mark.parametrize("name, X", HYPERSURFACES, ids=[name for name, _ in HYPERSURFACES])
+def test_restricted_hypersurface_milnor_matches_oracle(name, X):
+    (g,) = X.generators
+    for h in _slice_forms(X.ring, seed=len(name)):
+        (image,) = restrict_to_hyperplane([g], h)
+        if image.is_zero() or not is_finite(mu := milnor_hypersurface(image)):
+            continue
+        jacobian = [as_vec(d) for d in gradient(image)]
+        assert mu == oracle.truncated_colength(image.ring.n, 1, jacobian), (name, h)
 
 
 def test_tau_at_most_mu_for_hypersurfaces():
@@ -320,6 +417,15 @@ def test_report_rejects_non_icis_slice():
     # f inside the ideal slices X into itself
     with pytest.raises(PreconditionViolation, match="slice"):
         derived_invariants(QUADRIC4, QUADRIC4.generators[0], seed=1)
+
+
+def test_report_rejects_non_icis_linear_slice_with_the_full_chain_error():
+    # on x = 0 the A1 germ xy + z^2 + w^2 restricts to z^2 + w^2, singular
+    # along the y-axis: the error names the slice, as the full chain does
+    X = germ(R4, "x*y + z^2 + w^2")
+    with pytest.raises(PreconditionViolation) as err:
+        derived_invariants(X, poly("x", R4), seed=1)
+    assert str(err.value) == "the slice by f is not an ICIS (non-isolated singular locus)"
 
 
 def test_report_rejects_ambient():

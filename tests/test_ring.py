@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from germlab import Polynomial, RingSpec, parse_polynomial
+from germlab import ModuleElement, Polynomial, RingSpec, Submodule, parse_polynomial, standard_basis
+from germlab.ring import restrict_to_hyperplane
 
-from germs import R2, R3, poly
+from germs import R2, R3, R4, poly
 
 
 def test_ring_validation():
@@ -70,3 +71,32 @@ def test_derivative_is_linear_and_leibniz(p):
 @given(polys2)
 def test_print_parse_round_trip(p):
     assert parse_polynomial(str(p), R2) == p
+
+
+monos3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+polys3 = st.dictionaries(monos3, coeffs, max_size=5).map(lambda d: Polynomial(R3, d))
+linear3 = (
+    st.lists(st.integers(-4, 4), min_size=3, max_size=3)
+    .filter(any)
+    .map(lambda cs: sum((c * Polynomial.variable(R3, i) for i, c in enumerate(cs)),
+                        Polynomial.zero(R3)))
+)
+
+
+@given(polys3, linear3)
+def test_restriction_agrees_modulo_the_linear_form(g, h):
+    (image,) = restrict_to_hyperplane([g], h)
+    j = max(i for i in range(R3.n) if h.derivative(i))  # the last variable h involves
+    assert image.ring.variables == R3.variables[:j] + R3.variables[j + 1 :]
+    lift = Polynomial(R3, {m[:j] + (0,) + m[j:]: c for m, c in image.terms.items()})
+    assert standard_basis(Submodule.ideal(R3, [h])).contains(
+        ModuleElement.from_polynomials([g - lift])
+    )
+
+
+def test_restriction_to_a_coordinate_hyperplane_drops_its_terms():
+    g = poly("x^2 + y*w + z^3 - w^4", R4)
+    (image,) = restrict_to_hyperplane([g], poly("-2*w", R4))
+    assert image == poly("x^2 + z^3", RingSpec(["x", "y", "z"]))
+    with pytest.raises(ValueError):
+        restrict_to_hyperplane([g], poly("x + y^2", R4))
