@@ -8,7 +8,7 @@ Brasselet number and d-th polar multiplicity from the identities
 connecting them, re-checking every identity exactly.
 """
 
-from .derlog import TangentModule, VarietyGerm, df_theta, mu_BR, mu_BR_rel, tau_BR, theta_X
+from .derlog import VarietyGerm, df_theta, mu_BR, mu_BR_rel, tau_BR
 from .errors import (
     ContainmentViolation,
     GenericityExhausted,
@@ -40,7 +40,6 @@ from .module_ops import (
     subquotient_dimension,
     syzygies,
 )
-from .orders import LocalOrder, ModuleOrder
 from .parsing import parse_polynomial
 from .problemfile import ProblemFile, parse_problem_file
 from .ring import Monomial, Polynomial, RingSpec, format_polynomial, gradient
@@ -55,8 +54,8 @@ from .standard_basis import (
     krull_dimension,
     local_colength,
     mora_normal_form,
-    set_default_max_steps,
     standard_basis,
+    step_cap,
 )
 
 __version__ = "0.1.0"
@@ -71,9 +70,7 @@ __all__ = [
     "IdentityCheck",
     "InfiniteColength",
     "InvariantReport",
-    "LocalOrder",
     "ModuleElement",
-    "ModuleOrder",
     "Monomial",
     "MoraCertificate",
     "ParseError",
@@ -84,7 +81,6 @@ __all__ = [
     "RingSpec",
     "StandardBasis",
     "Submodule",
-    "TangentModule",
     "VarietyGerm",
     "colength",
     "derived_invariants",
@@ -107,13 +103,12 @@ __all__ = [
     "parse_polynomial",
     "parse_problem_file",
     "product",
-    "set_default_max_steps",
     "standard_basis",
+    "step_cap",
     "submodule_pullback",
     "subquotient_dimension",
     "syzygies",
     "tau_BR",
-    "theta_X",
     "tjurina_icis",
     "verify_icis",
 ]

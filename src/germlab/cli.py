@@ -35,7 +35,7 @@ from .invariants import (
     verify_icis,
 )
 from .problemfile import ProblemFile, parse_problem_file
-from .standard_basis import colength, krull_dimension, set_default_max_steps
+from .standard_basis import colength, krull_dimension, step_cap
 
 _COMMANDS = ("invariants", "theta", "std", "milnor", "tjurina", "check")
 
@@ -126,7 +126,7 @@ def _run_invariants(problem: ProblemFile, seed: int):
 
 def _run_theta(problem: ProblemFile, seed: int):
     X = _variety(problem)
-    theta = X.tangent_module.theta
+    theta = X.tangent_module
     rows = [("n", problem.ring.n), ("theta.size", len(theta.generators))]
     for i, gen in enumerate(theta.generators, start=1):
         rows.append((f"theta.gen.{i}", gen))
@@ -219,18 +219,13 @@ def main(argv=None) -> int:
             "--max-steps",
             type=int,
             default=None,
-            help="reduction-step cap per standard-basis run",
+            help="reduction-step cap per standard-basis run or normal form",
         )
     args = parser.parse_args(argv)
-
-    previous_cap = None
-    if args.max_steps is not None:
-        previous_cap = set_default_max_steps(args.max_steps)
-    try:
+    if args.max_steps is None:
         return _run(args)
-    finally:
-        if previous_cap is not None:
-            set_default_max_steps(previous_cap)
+    with step_cap(args.max_steps):
+        return _run(args)
 
 
 def _run(args) -> int:

@@ -24,7 +24,6 @@ optionally enlarged by the ideal of X or by the function itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import PreconditionViolation
@@ -95,24 +94,14 @@ class VarietyGerm:
         return krull_dimension(self.ideal_basis)
 
     @cached_property
-    def tangent_module(self) -> "TangentModule":
+    def tangent_module(self) -> Submodule:
+        """Theta_X: the module of ambient vector fields tangent to (X,0)."""
         return _compute_theta(self)
 
     def __repr__(self) -> str:
         if self._ambient:
             return f"VarietyGerm.ambient({self.ring!r})"
         return f"VarietyGerm({self.ring!r}, {len(self.generators)} generators)"
-
-
-@dataclass(frozen=True)
-class TangentModule:
-    """Generators of the module of vector fields tangent to a germ."""
-
-    theta: Submodule
-
-    @property
-    def generators(self) -> tuple[ModuleElement, ...]:
-        return self.theta.generators
 
 
 def _minimise(gens: list[ModuleElement]) -> list[ModuleElement]:
@@ -183,26 +172,21 @@ def _unminimised_theta(X: VarietyGerm) -> list[ModuleElement]:
     return list(dict.fromkeys(result.generators))
 
 
-def _compute_theta(X: VarietyGerm) -> TangentModule:
+def _compute_theta(X: VarietyGerm) -> Submodule:
     n = X.ring.n
     if X.is_ambient:
-        return TangentModule(Submodule.full(X.ring, n))
-    return TangentModule(Submodule(X.ring, n, _minimise(_unminimised_theta(X))))
+        return Submodule.full(X.ring, n)
+    return Submodule(X.ring, n, _minimise(_unminimised_theta(X)))
 
 
-def theta_X(X: VarietyGerm) -> TangentModule:
-    """The module of ambient vector fields tangent to (X,0)."""
-    return X.tangent_module
-
-
-def df_theta(f: Polynomial, T: TangentModule) -> Submodule:
-    """The ideal df(Theta_X) generated by applying df to each tangent field."""
+def df_theta(f: Polynomial, theta: Submodule) -> Submodule:
+    """The ideal df(Theta_X) generated by applying df to each field of theta."""
     if f.constant_term():
         raise PreconditionViolation("the function must vanish at the origin")
     ring = f.ring
     grads = gradient(f)
     images = []
-    for xi in T.generators:
+    for xi in theta.generators:
         value = Polynomial.zero(ring)
         for i, comp in enumerate(xi.components):
             if comp and grads[i]:

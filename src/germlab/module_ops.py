@@ -13,12 +13,11 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import ContainmentViolation
-from .orders import LocalOrder, ModuleOrder
 from .ring import Polynomial, RingSpec
 from .standard_basis import ModuleElement, Submodule, local_colength, standard_basis
 
 
-def syzygies(gens: Sequence[ModuleElement], *, max_steps: int | None = None) -> Submodule:
+def syzygies(gens: Sequence[ModuleElement]) -> Submodule:
     """Generators of the relation module {a in O^r : sum a_i * g_i = 0}.
 
     Computed from a standard basis of the graph module spanned by the
@@ -41,8 +40,7 @@ def syzygies(gens: Sequence[ModuleElement], *, max_steps: int | None = None) -> 
         vec = dict(g.terms)
         vec[(m + i, zero)] = Fraction(1)
         graph.append(ModuleElement._raw(ring, m + r, vec))
-    order = ModuleOrder.block_eliminating(LocalOrder(ring), m)
-    sb = standard_basis(Submodule(ring, m + r, graph), order, max_steps=max_steps)
+    sb = standard_basis(Submodule(ring, m + r, graph), block=m)
     tags = []
     for el, (lead_comp, _) in zip(sb.elements, sb.lead_terms):
         if lead_comp >= m:
@@ -52,14 +50,14 @@ def syzygies(gens: Sequence[ModuleElement], *, max_steps: int | None = None) -> 
     return Submodule(ring, r, list(dict.fromkeys(tags)))
 
 
-def intersect(M: Submodule, N: Submodule, *, max_steps: int | None = None) -> Submodule:
+def intersect(M: Submodule, N: Submodule) -> Submodule:
     """Generators of M intersect N via syzygies of the combined generators."""
     if M.ring != N.ring or M.rank != N.rank:
         raise ValueError("submodules live in different ambient modules")
     if M.is_zero() or N.is_zero():
         return Submodule.zero(M.ring, M.rank)
     combined = list(M.generators) + list(N.generators)
-    relations = syzygies(combined, max_steps=max_steps)
+    relations = syzygies(combined)
     r = len(M.generators)
     out = []
     for rel in relations.generators:
@@ -127,7 +125,7 @@ def jacobian_minors(fs: Sequence[Polynomial], k: int) -> Submodule:
     return Submodule.ideal(ring, list(dict.fromkeys(minors)))
 
 
-def submodule_pullback(M: Submodule, N: Submodule, *, max_steps: int | None = None) -> Submodule:
+def submodule_pullback(M: Submodule, N: Submodule) -> Submodule:
     """The module K = {a in O^r : sum a_i * g_i lies in N}, g_i generating M.
 
     K is the projection of the syzygy module of (g_1..g_r, n_1..n_s) onto
@@ -135,7 +133,7 @@ def submodule_pullback(M: Submodule, N: Submodule, *, max_steps: int | None = No
     """
     r = len(M.generators)
     combined = list(M.generators) + list(N.generators)
-    relations = syzygies(combined, max_steps=max_steps)
+    relations = syzygies(combined)
     projected = []
     for rel in relations.generators:
         vec = {(c, mono): coeff for (c, mono), coeff in rel.terms.items() if c < r}
@@ -144,7 +142,7 @@ def submodule_pullback(M: Submodule, N: Submodule, *, max_steps: int | None = No
     return Submodule(M.ring, r, list(dict.fromkeys(projected)))
 
 
-def subquotient_dimension(M: Submodule, N: Submodule, *, max_steps: int | None = None):
+def subquotient_dimension(M: Submodule, N: Submodule):
     """Vector-space dimension of M/N for N contained in M (module colength).
 
     Containment is verified by normal-form membership of every generator
@@ -157,9 +155,8 @@ def subquotient_dimension(M: Submodule, N: Submodule, *, max_steps: int | None =
         if N.is_zero():
             return 0
         raise ContainmentViolation("second module is not contained in the first")
-    sb = standard_basis(M, max_steps=max_steps)
+    sb = standard_basis(M)
     for g in N.generators:
         if not sb.contains(g):
             raise ContainmentViolation("second module is not contained in the first")
-    pullback = submodule_pullback(M, N, max_steps=max_steps)
-    return local_colength(pullback, max_steps=max_steps)
+    return local_colength(submodule_pullback(M, N))

@@ -17,17 +17,26 @@ identity exactly.
 Colength and Krull dimension are read off the lead-term module of a
 standard basis: the monomials (with component) outside it form a vector
 space basis of the quotient.
+
+The kernel has two settings.  `standard_basis(module, block=...)` picks
+the module order (`orders.term_key`): term-over-position by default,
+block-eliminating for syzygies.  `step_cap(limit)` bounds the reduction
+steps of every standard-basis run and normal form started inside it; the
+cap is held in a context variable, so leaving the scope restores the
+previous one.
 """
 
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import ReductionLimitExceeded
-from .orders import LocalOrder, ModuleOrder
+from .orders import term_key
 from .ring import (
     Monomial,
     Polynomial,
@@ -42,13 +51,18 @@ DEFAULT_MAX_STEPS = 1_000_000
 
 _ONE = Fraction(1)
 
+_STEP_CAP: ContextVar[int] = ContextVar("step_cap", default=DEFAULT_MAX_STEPS)
 
-def set_default_max_steps(limit: int) -> int:
-    """Set the step cap used when callers pass max_steps=None; returns the old cap."""
-    global DEFAULT_MAX_STEPS
-    previous = DEFAULT_MAX_STEPS
-    DEFAULT_MAX_STEPS = limit
-    return previous
+
+@contextmanager
+def step_cap(limit: int):
+    """Cap the reduction steps of each standard-basis run or normal form
+    started inside the `with` block; the previous cap returns on exit."""
+    token = _STEP_CAP.set(limit)
+    try:
+        yield
+    finally:
+        _STEP_CAP.reset(token)
 
 
 class _InfiniteColength:
@@ -255,19 +269,23 @@ class Submodule:
 
 
 class _Budget:
-    """Shared reduction-step counter guarding against runaway computations."""
+    """Reduction-step counter of one run, capped by the current `step_cap`.
 
-    __slots__ = ("remaining", "total")
+    `where` names the run in the error, e.g. "in a standard basis of rank
+    2 with 7 generators".
+    """
 
-    def __init__(self, limit: int):
-        self.remaining = limit
-        self.total = limit
+    __slots__ = ("remaining", "total", "where")
+
+    def __init__(self, where: str):
+        self.remaining = self.total = _STEP_CAP.get()
+        self.where = where
 
     def spend(self):
         self.remaining -= 1
         if self.remaining < 0:
             raise ReductionLimitExceeded(
-                f"aborted after {self.total} reduction steps; "
+                f"aborted after {self.total} reduction steps {self.where}; "
                 "raise the step cap if the input is legitimately this large"
             )
 
@@ -457,24 +475,19 @@ class MoraCertificate:
 
 
 def mora_normal_form(
-    f: ModuleElement,
-    gens: Sequence[ModuleElement],
-    order: ModuleOrder | None = None,
-    max_steps: int | None = None,
+    f: ModuleElement, gens: Sequence[ModuleElement]
 ) -> tuple[ModuleElement, MoraCertificate]:
     """Weak normal form of f against gens, with its unit certificate.
 
     No lead term of the remainder is divisible by a lead term of gens in
-    the matching component.
+    the matching component (term-over-position order).
     """
     ring, rank = f.ring, f.rank
-    if order is None:
-        order = ModuleOrder.term_over_position(LocalOrder(ring))
-    keyf = order.term_key()
+    keyf = term_key()
     entries = [
         _make_entry(dict(g.terms), keyf, index=i) for i, g in enumerate(gens) if g.terms
     ]
-    budget = _Budget(max_steps if max_steps is not None else DEFAULT_MAX_STEPS)
+    budget = _Budget(f"in a normal form of rank {rank} against {len(gens)} generators")
     one = {(0, ring.zero_monomial()): _ONE}
     rem, unit, quot = _mora_nf(dict(f.terms), entries, keyf, budget, one=one)
 
@@ -493,17 +506,18 @@ def mora_normal_form(
 class StandardBasis:
     """A standard basis of a submodule under a fixed module order.
 
-    Every input generator reduces to zero against `elements`, and the
-    S-element of every critical pair of `elements` does as well.  A basis
-    computed with `truncated_at=D` is one of module + m^D * O^rank and
-    refuses membership queries.
+    `key` is the order's term key (`orders.term_key`).  Every input
+    generator reduces to zero against `elements`, and the S-element of
+    every critical pair of `elements` does as well.  A basis computed
+    with `truncated_at=D` is one of module + m^D * O^rank and refuses
+    membership queries.
     """
 
-    __slots__ = ("ambient", "order", "elements", "lead_terms", "truncated_at", "_entries")
+    __slots__ = ("ambient", "key", "elements", "lead_terms", "truncated_at", "_entries")
 
-    def __init__(self, ambient, order, elements, lead_terms, truncated_at=None):
+    def __init__(self, ambient, key, elements, lead_terms, truncated_at=None):
         self.ambient = ambient
-        self.order = order
+        self.key = key
         self.elements = tuple(elements)
         self.lead_terms = tuple(lead_terms)
         self.truncated_at = truncated_at
@@ -511,18 +525,21 @@ class StandardBasis:
 
     def _reducer_entries(self) -> list[_Entry]:
         if self._entries is None:
-            keyf = self.order.term_key()
-            self._entries = [_make_entry(dict(e.terms), keyf) for e in self.elements]
+            self._entries = [_make_entry(dict(e.terms), self.key) for e in self.elements]
         return self._entries
 
-    def normal_form(self, f: ModuleElement, max_steps: int | None = None) -> ModuleElement:
+    def normal_form(self, f: ModuleElement) -> ModuleElement:
         """Weak normal form of f against the basis (no certificate)."""
         if self.truncated_at is not None:
             raise ValueError("membership needs an untruncated standard basis")
         if f.ring != self.ambient.ring or f.rank != self.ambient.rank:
             raise ValueError("element does not live in the ambient module")
-        budget = _Budget(max_steps if max_steps is not None else DEFAULT_MAX_STEPS)
-        rem, _, _ = _mora_nf(dict(f.terms), self._reducer_entries(), self.order.term_key(), budget)
+        entries = self._reducer_entries()
+        budget = _Budget(
+            f"in a normal form of rank {f.rank} against a standard basis of "
+            f"{len(entries)} elements"
+        )
+        rem, _, _ = _mora_nf(dict(f.terms), entries, self.key, budget)
         return ModuleElement._raw(f.ring, f.rank, rem)
 
     def contains(self, f: ModuleElement) -> bool:
@@ -533,13 +550,13 @@ class StandardBasis:
 
 
 def standard_basis(
-    module: Submodule,
-    order: ModuleOrder | None = None,
-    *,
-    max_steps: int | None = None,
-    truncate_degree: int | None = None,
+    module: Submodule, *, block: int = 0, truncate_degree: int | None = None
 ) -> StandardBasis:
     """Compute a standard basis of `module` by Mora's algorithm.
+
+    The module order is `orders.term_key(block)`: term-over-position for
+    `block=0`, otherwise block-eliminating with components 0 .. block-1
+    as the leading block.
 
     Critical pairs are processed smallest lcm-degree first; reducers are
     chosen by minimal ecart with ties broken by list position.  The result
@@ -552,10 +569,13 @@ def standard_basis(
     membership queries.
     """
     ring = module.ring
-    if order is None:
-        order = ModuleOrder.term_over_position(LocalOrder(ring))
-    keyf = order.term_key()
-    budget = _Budget(max_steps if max_steps is not None else DEFAULT_MAX_STEPS)
+    keyf = term_key(block)
+    where = (
+        f"in a standard basis of rank {module.rank} with {len(module.generators)} generators"
+    )
+    if truncate_degree is not None:
+        where += f", truncated at degree {truncate_degree}"
+    budget = _Budget(where)
     bound = truncate_degree
 
     basis: list[_Entry] = []
@@ -607,7 +627,7 @@ def standard_basis(
 
     elements = [ModuleElement._raw(ring, module.rank, basis[t].vec) for t in kept]
     lead_terms = [basis[t].lt for t in kept]
-    return StandardBasis(module, order, elements, lead_terms, truncated_at=truncate_degree)
+    return StandardBasis(module, keyf, elements, lead_terms, truncated_at=truncate_degree)
 
 
 def colength(basis: StandardBasis):
@@ -667,8 +687,7 @@ def _count_staircase(leads: list[Monomial], bounds: list[int]):
 _TRUNCATION_LADDER = (2, 3, 4, 6, 8, 12, 16, 20, 24, 28)
 
 
-def local_colength(module: Submodule, order: ModuleOrder | None = None, *,
-                   max_steps: int | None = None):
+def local_colength(module: Submodule):
     """Colength of a submodule, computed with certified degree truncation.
 
     Standard bases are computed modulo m^D for D = 2, 3, 4, 6, 8, 12, ...,
@@ -682,12 +701,11 @@ def local_colength(module: Submodule, order: ModuleOrder | None = None, *,
     colength is infinite), the exact untruncated computation decides.
     """
     for degree in _TRUNCATION_LADDER:
-        basis = standard_basis(module, order, max_steps=max_steps, truncate_degree=degree)
+        basis = standard_basis(module, truncate_degree=degree)
         value, top = _colength_stats(basis)
         if is_finite(value) and top + 2 <= degree:
             return value
-    basis = standard_basis(module, order, max_steps=max_steps)
-    return colength(basis)
+    return colength(standard_basis(module))
 
 
 def krull_dimension(basis: StandardBasis) -> int:

@@ -261,12 +261,12 @@ def test_tangent_module_correctness():
             ModuleElement.from_polynomials([poly("0", R2), poly("1", R2)]),
         ],
     )
-    line_basis = standard_basis(LINE.tangent_module.theta)
+    line_basis = standard_basis(LINE.tangent_module)
     expected_basis = standard_basis(expected)
     assert all(line_basis.contains(g) for g in expected.generators)
     assert all(expected_basis.contains(g) for g in LINE.tangent_module.generators)
     # quadric: Euler and rotation fields are members
-    qbasis = standard_basis(QUADRIC4.tangent_module.theta)
+    qbasis = standard_basis(QUADRIC4.tangent_module)
     euler = ModuleElement.from_polynomials([poly(v, R4) for v in R4.variables])
     assert qbasis.contains(euler)
     for i in range(4):

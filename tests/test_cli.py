@@ -3,7 +3,8 @@
 import dataclasses
 
 import germlab.cli as cli
-from germlab import IdentityCheck, derived_invariants
+from germlab import IdentityCheck, derived_invariants, step_cap
+from germlab.standard_basis import DEFAULT_MAX_STEPS
 
 SPHERE = """\
 [ring]
@@ -180,26 +181,18 @@ def test_ambient_without_function_is_a_precondition_error(tmp_path, capsys):
 
 
 def test_max_steps_cap_aborts_with_exit_two(tmp_path, capsys):
-    from germlab.standard_basis import set_default_max_steps
-
-    try:
+    with step_cap(DEFAULT_MAX_STEPS):
         code, _, err = run(tmp_path, capsys, SPHERE, "invariants", "--max-steps", "2")
-    finally:
-        set_default_max_steps(1_000_000)
     assert code == 2
     assert "reduction steps" in err
 
 
 def test_max_steps_cap_does_not_leak_into_later_calls(tmp_path, capsys):
-    from germlab.standard_basis import set_default_max_steps
-
     milnor = "[ring]\nvariables = x, y, z\n[variety]\ng1 = x^3 + y^4 + z^5 + x*y*z\n"
-    try:
+    with step_cap(DEFAULT_MAX_STEPS):
         code, _, err = run(tmp_path, capsys, milnor, "milnor", "--machine", "--max-steps", "5")
         assert code == 2 and "aborted after 5 reduction steps" in err
         code, out, err = run(tmp_path, capsys, milnor, "milnor", "--machine")
-    finally:
-        set_default_max_steps(1_000_000)
     assert code == 0, err
     assert machine_block(out)["milnor"] == "11"
 

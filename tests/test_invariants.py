@@ -21,7 +21,7 @@ from germlab import (
     milnor_hypersurface,
     milnor_icis,
     mu_BR,
-    set_default_max_steps,
+    step_cap,
     tau_BR,
     tjurina_icis,
     verify_icis,
@@ -268,13 +268,10 @@ def test_slice_milnor_falls_back_when_restricted_chain_is_not_admissible():
 def test_linear_slice_is_computed_in_one_variable_less():
     # the restricted chain needs far fewer reduction steps than the full one
     chain = (poly("x^3 + y^3 + z^4 + w^5", R4), poly("x + y - z - w", R4))
-    previous = set_default_max_steps(200)
-    try:
+    with step_cap(200):
         assert milnor_icis(chain) == 12
         with pytest.raises(ReductionLimitExceeded):
             _milnor_chain(chain)
-    finally:
-        set_default_max_steps(previous)
 
 
 def test_slice_route_keeps_the_validation_errors():

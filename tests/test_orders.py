@@ -2,12 +2,10 @@
 
 from hypothesis import given, strategies as st
 
-from germlab import LocalOrder, ModuleOrder
+from germlab.orders import term_key
 from germlab.ring import negdegrevlex_key
 
-from germs import R2, R3
-
-TOP = ModuleOrder.term_over_position(LocalOrder(R2)).term_key()
+TOP = term_key()
 
 monos3 = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
 
@@ -58,7 +56,7 @@ def test_module_order_top_breaks_ties_by_component():
 
 
 def test_block_order_dominates_trailing_block():
-    block = ModuleOrder.block_eliminating(LocalOrder(R2), 2).term_key()
+    block = term_key(2)
     # any term in components 0..1 beats any term in the rest
     assert compare(block, (1, (5, 5)), (2, (0, 0))) == 1
     assert compare(block, (4, (0, 0)), (0, (3, 0))) == -1
@@ -68,7 +66,7 @@ def test_block_order_dominates_trailing_block():
 
 @given(monos3, monos3)
 def test_block_order_scalar_compatible(a, b):
-    block = ModuleOrder.block_eliminating(LocalOrder(R3), 1).term_key()
+    block = term_key(1)
     for comp in (0, 2):
         before = compare(block, (comp, a), (comp, b))
         after = compare(block, (comp, tuple(x + 1 for x in a)), (comp, tuple(x + 1 for x in b)))

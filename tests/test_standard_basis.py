@@ -8,9 +8,7 @@ from hypothesis import given, strategies as st
 
 from germlab import (
     INFINITE,
-    LocalOrder,
     ModuleElement,
-    ModuleOrder,
     Polynomial,
     ReductionLimitExceeded,
     Submodule,
@@ -21,7 +19,10 @@ from germlab import (
     module_sum,
     mora_normal_form,
     standard_basis,
+    step_cap,
+    syzygies,
 )
+from germlab.orders import term_key
 
 import _oracle as oracle
 from germs import D3_PAIRS, LOW_DIM_PAIRS, R1, R2, R3, poly
@@ -81,7 +82,7 @@ def test_nf_remainder_lead_not_reducible():
     assert cert.verify(f, gens, rem)
     assert cert.unit.constant_term() != 0
     assert not rem.is_zero()
-    key = ModuleOrder.term_over_position(LocalOrder(R2)).term_key()
+    key = term_key()
     comp, mono = max(rem.terms, key=key)
     for g in gens:
         gc, gm = max(g.terms, key=key)
@@ -180,8 +181,62 @@ def test_membership_soundness_random_combinations():
 
 def test_iteration_cap_aborts_with_diagnostic():
     module = ideal(R3, "x^2 + y^3", "x*y - z^3", "y*z + x^2")
+    with step_cap(3), pytest.raises(ReductionLimitExceeded):
+        standard_basis(module)
+
+
+def current_cap():
+    return importlib.import_module("germlab.standard_basis")._STEP_CAP.get()
+
+
+def test_step_cap_restores_the_previous_cap():
+    module = ideal(R3, "x^2 + y^3", "x*y - z^3", "y*z + x^2")
+    outer = current_cap()
+    with step_cap(3):
+        assert current_cap() == 3
+    assert current_cap() == outer
+    # after the cap is exceeded inside the scope
     with pytest.raises(ReductionLimitExceeded):
-        standard_basis(module, max_steps=3)
+        with step_cap(3):
+            standard_basis(module)
+    assert current_cap() == outer
+    assert standard_basis(module).elements
+    # nested scopes unwind one at a time
+    with step_cap(3):
+        with step_cap(outer):
+            assert standard_basis(module).elements
+        assert current_cap() == 3
+        with pytest.raises(ReductionLimitExceeded):
+            standard_basis(module)
+    assert current_cap() == outer
+
+
+def test_step_limit_error_names_what_ran_out():
+    module = ideal(R3, "x^2 + y^3", "x*y - z^3", "y*z + x^2")
+    gens = [element(R2, "x^2 - y^3"), element(R2, "x*y")]
+    f = element(R2, "x^3 + x^2*y + y^5 + x^2")
+    columns = [element(R2, "x^2", "y"), element(R2, "x*y", "x"), element(R2, "y^2", "x*y")]
+    runs = [
+        (lambda: standard_basis(module),
+         "aborted after 2 reduction steps in a standard basis of rank 1 with 3 generators;"),
+        (lambda: standard_basis(module, truncate_degree=8),
+         "in a standard basis of rank 1 with 3 generators, truncated at degree 8;"),
+        (lambda: mora_normal_form(f, gens),
+         "aborted after 2 reduction steps in a normal form of rank 1 against 2 generators;"),
+        # the graph module of three rank-2 generators has rank 2 + 3
+        (lambda: syzygies(columns), "in a standard basis of rank 5 with 3 generators;"),
+    ]
+    for run, detail in runs:
+        with step_cap(2), pytest.raises(ReductionLimitExceeded) as info:
+            run()
+        assert detail in str(info.value)
+    basis = standard_basis(module)
+    with step_cap(0), pytest.raises(ReductionLimitExceeded) as info:
+        basis.normal_form(element(R3, "x^2 + y^3 + z^7"))
+    assert (
+        f"aborted after 0 reduction steps in a normal form of rank 1 against a standard "
+        f"basis of {len(basis.elements)} elements;" in str(info.value)
+    )
 
 
 # ------------------------------------------------------------------ colength
@@ -306,9 +361,9 @@ def test_local_colength_certifies_small_colengths_at_low_rungs(monkeypatch):
     sb = importlib.import_module("germlab.standard_basis")
     rungs = []
 
-    def recorder(module, order=None, **kwargs):
+    def recorder(module, **kwargs):
         rungs.append(kwargs.get("truncate_degree"))
-        return standard_basis(module, order, **kwargs)
+        return standard_basis(module, **kwargs)
 
     monkeypatch.setattr(sb, "standard_basis", recorder)
     assert local_colength(ideal(R2, "x", "y^2")) == 2
