@@ -202,6 +202,18 @@ def _emit(command: str, path: str, seed: int, rows, checks, machine_only: bool):
     sys.stdout.write("\n".join(lines) + "\n")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a step cap: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        # the message argparse gives for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="germlab",
@@ -217,7 +229,7 @@ def main(argv=None) -> int:
         )
         sub.add_argument(
             "--max-steps",
-            type=int,
+            type=_positive_int,
             default=None,
             help="reduction-step cap per standard-basis run or normal form",
         )

@@ -564,9 +564,17 @@ def standard_basis(
     primitive integer vector with positive lead coefficient.
 
     With `truncate_degree=D` all terms of degree >= D are discarded, i.e.
-    the module is replaced by module + m^D * O^rank.  That is only useful
+    the module M is replaced by M + m^D * O^rank.  That is only useful
     for colength counting (see local_colength); such bases refuse
-    membership queries.
+    membership queries.  A truncated run also lowers its bound at Mora's
+    highest corner: after each new lead term it reads the staircase of
+    the lead module plus m^bound, and when that staircase tops out at a
+    degree t with t + 2 <= bound, the rest of the run works modulo
+    m^(t+1).  This is sound: every monomial of degree t+1 is then a lead
+    term, so m^(t+1) lies in M + m^bound + m^(t+2) = M + m * m^(t+1),
+    and Nakayama gives m^(t+1) inside M, hence M + m^bound = M + m^(t+1).
+    `truncated_at` records the bound the run ended at.  Exact runs
+    (`truncate_degree=None`) keep every term.
     """
     ring = module.ring
     keyf = term_key(block)
@@ -577,11 +585,13 @@ def standard_basis(
         where += f", truncated at degree {truncate_degree}"
     budget = _Budget(where)
     bound = truncate_degree
+    corner = None if bound is None else _Corner(module.rank, ring.n)
 
     basis: list[_Entry] = []
     pairs: list[tuple[int, int, int]] = []
 
     def push(vec: Vec):
+        nonlocal bound
         # store primitive integer vectors with positive lead coefficient
         _normalize(vec)
         lt, maxdeg = _lead_and_maxdeg(vec, keyf)
@@ -594,6 +604,10 @@ def standard_basis(
             if o_lt[0] == lt[0]:
                 lcm = mono_lcm(o_lt[1], lt[1])
                 heapq.heappush(pairs, (sum(lcm), other, idx))
+        if corner is not None:
+            top = corner.add(lt, bound)
+            if top is not None and top + 2 <= bound:
+                bound = top + 1
 
     for g in module.generators:
         vec = {k: c for k, c in g.terms.items() if bound is None or sum(k[1]) < bound}
@@ -627,7 +641,7 @@ def standard_basis(
 
     elements = [ModuleElement._raw(ring, module.rank, basis[t].vec) for t in kept]
     lead_terms = [basis[t].lt for t in kept]
-    return StandardBasis(module, keyf, elements, lead_terms, truncated_at=truncate_degree)
+    return StandardBasis(module, keyf, elements, lead_terms, truncated_at=bound)
 
 
 def colength(basis: StandardBasis):
@@ -643,45 +657,111 @@ def colength(basis: StandardBasis):
 
 def _colength_stats(basis: StandardBasis):
     """(colength, top degree of the standard monomials); (INFINITE, None)."""
-    ring = basis.ambient.ring
-    n = ring.n
-    rank = basis.ambient.rank
-    by_component: dict[int, list[Monomial]] = {c: [] for c in range(rank)}
+    n = basis.ambient.ring.n
+    by_component: list[list[Monomial]] = [[] for _ in range(basis.ambient.rank)]
     for comp, mono in basis.lead_terms:
         by_component[comp].append(mono)
     total = 0
     top = 0
-    for comp in range(rank):
-        leads = by_component[comp]
-        bounds = []
-        for i in range(n):
-            pure = [m[i] for m in leads if all(e == 0 for k, e in enumerate(m) if k != i)]
-            if not pure:
-                return INFINITE, None
-            bounds.append(min(pure))
-        count, comp_top = _count_staircase(leads, bounds)
+    for leads in by_component:
+        if _missing_pure_powers(leads, n):
+            return INFINITE, None
+        count, comp_top = _count_staircase(leads, n)
         total += count
         top = max(top, comp_top)
     return total, top
 
 
-def _count_staircase(leads: list[Monomial], bounds: list[int]):
-    """Monomials below `bounds` outside the leads: (count, max total degree)."""
+def _missing_pure_powers(leads: list[Monomial], n: int) -> set[int]:
+    """Indices of the variables with no pure power among `leads`."""
+    missing = set(range(n))
+    for mono in leads:
+        support = [i for i, e in enumerate(mono) if e]
+        if len(support) <= 1:
+            missing.difference_update(support or range(n))
+    return missing
+
+
+def _standard_monomials(leads: list[Monomial], n: int, cap: int | None = None):
+    """Yield (monomial, degree) for every monomial outside the leads, of
+    degree below `cap` when one is given.
+
+    The walk starts at 1 and reaches each monomial a from a - e_j, where j
+    is the last nonzero index of a; since the staircase is closed under
+    division, that finds all of it while testing at most n candidates per
+    monomial yielded.  Without `cap` it ends only when the leads contain a
+    pure power of every variable.
+    """
+    one = (0,) * n
+    if cap == 0 or any(not any(l) for l in leads):
+        return
+    stack = [(one, 0, 0)]
+    while stack:
+        mono, last, deg = stack.pop()
+        yield mono, deg
+        if cap is not None and deg + 1 >= cap:
+            continue
+        for j in range(last, n):
+            cand = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
+            if not any(mono_divides(l, cand) for l in leads):
+                stack.append((cand, j, deg + 1))
+
+
+def _count_staircase(leads: list[Monomial], n: int):
+    """Monomials outside the leads: (count, max total degree).
+
+    The leads must contain a pure power of every variable."""
     count = 0
     top = 0
-    stack = [(0, ())]
-    n = len(bounds)
-    while stack:
-        i, prefix = stack.pop()
-        if i == n:
-            mono = prefix
-            if not any(mono_divides(l, mono) for l in leads):
-                count += 1
-                top = max(top, sum(mono))
-            continue
-        for e in range(bounds[i]):
-            stack.append((i + 1, prefix + (e,)))
+    for _, deg in _standard_monomials(leads, n):
+        count += 1
+        if deg > top:
+            top = deg
     return count, top
+
+
+class _Corner:
+    """Top degree of the staircase of a growing lead module plus m^cap.
+
+    A component's staircase is walked once its leads hold a pure power of
+    every variable (before that it reaches degree cap - 1, and no corner
+    exists), and again only when a new lead clears the top layer, the
+    standard monomials of top degree; nothing else can lower the top.
+    """
+
+    __slots__ = ("n", "leads", "layers", "tops")
+
+    def __init__(self, rank: int, n: int):
+        self.n = n
+        self.leads: list[list[Monomial]] = [[] for _ in range(rank)]
+        self.layers: list[list[Monomial] | None] = [None] * rank
+        self.tops = [0] * rank
+
+    def add(self, term: Term, cap: int) -> int | None:
+        """Record a new lead term; return the top degree of the staircase
+        below `cap`, the run's current bound, or None while some
+        component still lacks a pure power.  The layers stay valid as long
+        as the bound is only lowered to a returned top plus one."""
+        comp, mono = term
+        leads = self.leads[comp]
+        leads.append(mono)
+        layer = self.layers[comp]
+        if layer is not None:
+            layer = [a for a in layer if not mono_divides(mono, a)]
+        elif _missing_pure_powers(leads, self.n):
+            return None
+        if not layer:
+            top, layer = 0, []
+            for a, deg in _standard_monomials(leads, self.n, cap):
+                if deg > top:
+                    top, layer = deg, [a]
+                elif deg == top:
+                    layer.append(a)
+            self.tops[comp] = top
+        self.layers[comp] = layer
+        if any(l is None for l in self.layers):
+            return None
+        return max(self.tops)
 
 
 _TRUNCATION_LADDER = (2, 3, 4, 6, 8, 12, 16, 20, 24, 28)
@@ -691,19 +771,24 @@ def local_colength(module: Submodule):
     """Colength of a submodule, computed with certified degree truncation.
 
     Standard bases are computed modulo m^D for D = 2, 3, 4, 6, 8, 12, ...,
-    28; once the counted staircase has top degree d with d + 2 <= D, every
-    monomial of degree d+1 .. D-1 lies in the lead module, so m^(d+1) is
-    contained in the module (Nakayama) and the count is exact.  A colength
-    whose staircase tops out at degree d is therefore certified at the
-    first rung D >= d + 2: the ideal (x, y^2) at D = 3, a unit module at
-    D = 2.  The low rungs are cheap, and most colengths in practice are
-    small.  If no truncation level certifies (in particular whenever the
-    colength is infinite), the exact untruncated computation decides.
+    28.  Once the staircase has top degree d with d + 2 <= D, every
+    monomial of degree d+1 lies in the lead module, so m^(d+1) lies in
+    M + m^(d+2) and hence, by Nakayama, in the module M itself, and the
+    count is exact.  Each truncated run applies this highest-corner
+    certificate after every new lead term and then continues modulo
+    m^(d+1) (see standard_basis), so a run that ends below its rung D is
+    certified; so is one whose final staircase passes the test.  A
+    colength whose staircase tops out at degree d is therefore certified
+    at the first rung D >= d + 2: the ideal (x, y^2) at D = 3, a unit
+    module at D = 2.  The low rungs are cheap, and most colengths in
+    practice are small.  If no truncation level certifies (in particular
+    whenever the colength is infinite), the exact untruncated computation
+    decides.
     """
     for degree in _TRUNCATION_LADDER:
         basis = standard_basis(module, truncate_degree=degree)
         value, top = _colength_stats(basis)
-        if is_finite(value) and top + 2 <= degree:
+        if is_finite(value) and (basis.truncated_at < degree or top + 2 <= degree):
             return value
     return colength(standard_basis(module))
 

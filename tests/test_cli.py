@@ -2,6 +2,8 @@
 
 import dataclasses
 
+import pytest
+
 import germlab.cli as cli
 from germlab import IdentityCheck, derived_invariants, step_cap
 from germlab.standard_basis import DEFAULT_MAX_STEPS
@@ -195,6 +197,18 @@ def test_max_steps_cap_does_not_leak_into_later_calls(tmp_path, capsys):
         code, out, err = run(tmp_path, capsys, milnor, "milnor", "--machine")
     assert code == 0, err
     assert machine_block(out)["milnor"] == "11"
+
+
+def test_max_steps_below_one_is_rejected_when_parsed(tmp_path, capsys):
+    path = tmp_path / "input.germ"
+    path.write_text(SPHERE, encoding="utf-8")
+    for value in ("0", "-3"):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["invariants", str(path), "--max-steps", value])
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert f"argument --max-steps: must be at least 1, got {value}" in err
+        assert "reduction steps" not in err
 
 
 def test_exit_three_on_corrupted_identity(tmp_path, capsys, monkeypatch):

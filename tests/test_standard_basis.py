@@ -1,5 +1,6 @@
 """Mora normal forms, standard bases, colengths and dimensions."""
 
+import hashlib
 import importlib
 import random
 
@@ -11,21 +12,31 @@ from germlab import (
     ModuleElement,
     Polynomial,
     ReductionLimitExceeded,
+    StandardBasis,
     Submodule,
+    VarietyGerm,
     colength,
     df_theta,
     krull_dimension,
     local_colength,
+    milnor_icis,
     module_sum,
     mora_normal_form,
+    mu_BR,
+    mu_BR_rel,
     standard_basis,
     step_cap,
     syzygies,
+    tau_BR,
 )
 from germlab.orders import term_key
 
 import _oracle as oracle
-from germs import D3_PAIRS, LOW_DIM_PAIRS, R1, R2, R3, poly
+import germs
+from germs import D3_PAIRS, LOW_DIM_PAIRS, R1, R2, R3, R4, SUSPENSION4, poly
+
+# the package re-exports functions under the submodule's name
+sb = importlib.import_module("germlab.standard_basis")
 
 
 def ideal(ring, *exprs):
@@ -260,6 +271,7 @@ def test_colength_matches_truncation_oracle():
         main = colength(ideal_basis(ring, *exprs))
         polys = [poly(e, ring) for e in exprs]
         assert main == oracle.truncated_colength(ring.n, 1, [as_vec(p) for p in polys])
+        assert local_colength(ideal(ring, *exprs)) == main
 
 
 def test_colength_invariant_under_permutation_and_units():
@@ -308,6 +320,8 @@ def test_local_colength_agrees_with_exact_engine():
         (R3, ("x + y + z", "x*y - z^3", "y^2")),
         (R3, ("2*x^2+z^2", "2*y^2+z^2", "y*z", "x*z")),
         (R2, ("x^3 - y^4", "x*y^2")),
+        # modulo m^4 the staircase of x^3, y^3 counts x^2*y^2, wrongly: 9 not 8
+        (R2, ("x^3", "y^3", "x^2*y^2")),
     ]
     for ring, exprs in cases:
         module = ideal(ring, *exprs)
@@ -389,6 +403,148 @@ def test_truncated_basis_refuses_membership():
     basis = standard_basis(ideal(R2, "x^2", "y^3"), truncate_degree=8)
     with pytest.raises(ValueError):
         basis.normal_form(element(R2, "x^2"))
+
+
+# ------------------------------------------------------------ highest corner
+
+
+def test_truncated_run_lowers_its_bound_at_the_corner():
+    # the staircase {1, y} of (x, y^2) tops out at degree 1, so m^2 lies in
+    # the ideal and the run ends modulo m^2
+    basis = standard_basis(ideal(R2, "x", "y^2"), truncate_degree=8)
+    assert basis.truncated_at == 2
+    assert colength(basis) == 2
+    # no corner while a pure power is missing, and none in exact runs
+    assert standard_basis(ideal(R2, "x"), truncate_degree=8).truncated_at == 8
+    assert standard_basis(ideal(R2, "x", "y^2")).truncated_at is None
+
+
+def test_corner_certifies_a_quadric_slice_within_a_rung_eight_budget():
+    # germ_scan's germ with a quadric f: the four colengths below top out at
+    # degree 7, so rung 8 cannot certify them; each rung-12 basis, run to
+    # its end, took 7 600 - 28 200 reduction steps, against at most 6 000
+    # for any basis once the corner lowers the bound
+    f = poly("-x^2 + y^2 - 3*z^2 - 2*w^2 - 2*y*w", R4)
+    X = SUSPENSION4
+    with step_cap(10_000):
+        values = (
+            milnor_icis(X.generators + (f,)),
+            mu_BR(f, X),
+            mu_BR_rel(f, X),
+            tau_BR(f, X),
+        )
+    assert values == (19, 21, 20, 18)
+
+
+# sha256 prefixes of the exact bases of each germ's ideal I and of I + J
+# (J the generators' partial derivatives), recorded before the corner was
+# added to truncated runs; exact runs must not change
+EXACT_BASIS_DIGESTS = {
+    "LINE": "f56c43c5cc4bfb15",
+    "CROSS": "d8e41111bcd0d50d",
+    "NONQH": "050bfc0a9d80997d",
+    "CONE3": "2042ad8a4da71a7c",
+    "AXIS3": "d8994a15e308045b",
+    "CURVE_K2": "d122a56c44b51b73",
+    "QUADRIC4": "a64acec1539c2f6f",
+    "BRIESKORN3": "27c8bfa50efe44e9",
+    "BRIESKORN4": "8973da8cfd81d94c",
+    "BRIESKORN5": "f45eb6a5b20a8db1",
+    "A2_AMBIENT4": "3533d7ca4febcb86",
+    "SUSPENSION4": "8bfab728de7f3ff6",
+    "PENCIL5": "5b53023d19f08342",
+}
+
+
+def test_exact_bases_are_unchanged_on_every_germ():
+    names = [n for n, X in vars(germs).items() if isinstance(X, VarietyGerm)]
+    assert sorted(names) == sorted(EXACT_BASIS_DIGESTS)
+    for name in names:
+        X = getattr(germs, name)
+        gens = list(X.generators)
+        partials = [g.derivative(i) for g in gens for i in range(X.ring.n)]
+        bases = []
+        for module in (X.ideal, Submodule.ideal(X.ring, gens + partials)):
+            basis = standard_basis(module)
+            bases.append([(lt, str(e)) for lt, e in zip(basis.lead_terms, basis.elements)])
+        digest = hashlib.sha256(repr(bases).encode()).hexdigest()[:16]
+        assert digest == EXACT_BASIS_DIGESTS[name], name
+
+
+# ------------------------------------------------------------ staircase walk
+
+
+def box_colength_stats(lead_terms, n, rank):
+    """The bounding-box count the staircase walk replaced, kept as its
+    oracle: every monomial below the smallest pure powers is tested
+    against every lead.  (colength, top degree) or (INFINITE, None)."""
+    total = 0
+    top = 0
+    for comp in range(rank):
+        leads = [m for c, m in lead_terms if c == comp]
+        bounds = []
+        for i in range(n):
+            pure = [m[i] for m in leads if all(e == 0 for k, e in enumerate(m) if k != i)]
+            if not pure:
+                return INFINITE, None
+            bounds.append(min(pure))
+        stack = [(0, ())]
+        while stack:
+            i, prefix = stack.pop()
+            if i == n:
+                if not any(all(a <= b for a, b in zip(l, prefix)) for l in leads):
+                    total += 1
+                    top = max(top, sum(prefix))
+                continue
+            for e in range(bounds[i]):
+                stack.append((i + 1, prefix + (e,)))
+    return total, top
+
+
+def lead_basis(ring, rank, lead_terms):
+    return StandardBasis(Submodule.zero(ring, rank), term_key(), (), lead_terms)
+
+
+monos3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+
+
+@given(
+    st.integers(1, 2),
+    st.lists(st.tuples(st.integers(0, 1), monos3), max_size=8),
+    st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(1, 6)), max_size=6),
+    st.booleans(),
+)
+def test_staircase_walk_matches_box_count(rank, mixed, pure, unit):
+    # random monomial ideals and rank-2 modules; the pure powers make most
+    # components finite, and `unit` adds the zero monomial to component 0
+    leads = [(c % rank, m) for c, m in mixed]
+    for c, i, e in pure:
+        mono = [0, 0, 0]
+        mono[i] = e
+        leads.append((c % rank, tuple(mono)))
+    if unit:
+        leads.append((0, (0, 0, 0)))
+    basis = lead_basis(R3, rank, leads)
+    assert sb._colength_stats(basis) == box_colength_stats(leads, 3, rank)
+
+
+def test_staircase_walk_of_unit_and_full_modules():
+    one = (0, 0, 0)
+    assert sb._colength_stats(lead_basis(R3, 2, [(0, one), (1, one)])) == (0, 0)
+    powers = [(c, m) for c in range(2) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    assert sb._colength_stats(lead_basis(R3, 2, powers)) == (2, 0)
+
+
+def test_staircase_walk_grows_with_the_staircase_not_its_box():
+    # x^e, y^e, z^e, w^e and the six products of two variables: the
+    # staircase is 1 and four thin arms, 4e - 3 monomials, in a box of e^4
+    e = 400
+    leads = [tuple(e if k == i else 0 for k in range(4)) for i in range(4)]
+    leads += [
+        tuple(1 if k in (i, j) else 0 for k in range(4))
+        for i in range(4) for j in range(i + 1, 4)
+    ]
+    assert sb._count_staircase(leads, 4) == (4 * e - 3, e - 1)
 
 
 # ------------------------------------------------------------ krull dimension
