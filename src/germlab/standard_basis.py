@@ -566,15 +566,17 @@ def standard_basis(
     With `truncate_degree=D` all terms of degree >= D are discarded, i.e.
     the module M is replaced by M + m^D * O^rank.  That is only useful
     for colength counting (see local_colength); such bases refuse
-    membership queries.  A truncated run also lowers its bound at Mora's
-    highest corner: after each new lead term it reads the staircase of
-    the lead module plus m^bound, and when that staircase tops out at a
-    degree t with t + 2 <= bound, the rest of the run works modulo
-    m^(t+1).  This is sound: every monomial of degree t+1 is then a lead
-    term, so m^(t+1) lies in M + m^bound + m^(t+2) = M + m * m^(t+1),
-    and Nakayama gives m^(t+1) inside M, hence M + m^bound = M + m^(t+1).
-    `truncated_at` records the bound the run ended at.  Exact runs
-    (`truncate_degree=None`) keep every term.
+    membership queries.  A truncated run with `block=0` also lowers its
+    bound at Mora's highest corner: after each new lead term it reads the
+    staircase of the lead module plus m^bound, and when that staircase
+    tops out at a degree t with t + 2 <= bound, the rest of the run works
+    modulo m^(t+1).  This is sound: every monomial of degree t+1 is then
+    a lead term, and the order ranks terms by degree, so m^(t+1) lies in
+    M + m^bound + m^(t+2) = M + m * m^(t+1), and Nakayama gives m^(t+1)
+    inside M, hence M + m^bound = M + m^(t+1).  A block order can put
+    trailing terms of lower degree behind a lead, so block runs keep
+    their bound.  `truncated_at` records the bound the run ended at.
+    Exact runs (`truncate_degree=None`) keep every term.
     """
     ring = module.ring
     keyf = term_key(block)
@@ -585,7 +587,7 @@ def standard_basis(
         where += f", truncated at degree {truncate_degree}"
     budget = _Budget(where)
     bound = truncate_degree
-    corner = None if bound is None else _Corner(module.rank, ring.n)
+    corner = _Corner(module.rank, ring.n) if bound is not None and block == 0 else None
 
     basis: list[_Entry] = []
     pairs: list[tuple[int, int, int]] = []
@@ -651,25 +653,16 @@ def colength(basis: StandardBasis):
     variable among its lead terms, which is exactly when the quotient has
     infinite vector-space dimension.
     """
-    value, _ = _colength_stats(basis)
-    return value
-
-
-def _colength_stats(basis: StandardBasis):
-    """(colength, top degree of the standard monomials); (INFINITE, None)."""
     n = basis.ambient.ring.n
     by_component: list[list[Monomial]] = [[] for _ in range(basis.ambient.rank)]
     for comp, mono in basis.lead_terms:
         by_component[comp].append(mono)
     total = 0
-    top = 0
     for leads in by_component:
         if _missing_pure_powers(leads, n):
-            return INFINITE, None
-        count, comp_top = _count_staircase(leads, n)
-        total += count
-        top = max(top, comp_top)
-    return total, top
+            return INFINITE
+        total += sum(1 for _ in _standard_monomials(leads, n))
+    return total
 
 
 def _missing_pure_powers(leads: list[Monomial], n: int) -> set[int]:
@@ -683,8 +676,8 @@ def _missing_pure_powers(leads: list[Monomial], n: int) -> set[int]:
 
 
 def _standard_monomials(leads: list[Monomial], n: int, cap: int | None = None):
-    """Yield (monomial, degree) for every monomial outside the leads, of
-    degree below `cap` when one is given.
+    """Yield the degree of every monomial outside the leads, of degree
+    below `cap` when one is given.
 
     The walk starts at 1 and reaches each monomial a from a - e_j, where j
     is the last nonzero index of a; since the staircase is closed under
@@ -698,7 +691,7 @@ def _standard_monomials(leads: list[Monomial], n: int, cap: int | None = None):
     stack = [(one, 0, 0)]
     while stack:
         mono, last, deg = stack.pop()
-        yield mono, deg
+        yield deg
         if cap is not None and deg + 1 >= cap:
             continue
         for j in range(last, n):
@@ -707,59 +700,36 @@ def _standard_monomials(leads: list[Monomial], n: int, cap: int | None = None):
                 stack.append((cand, j, deg + 1))
 
 
-def _count_staircase(leads: list[Monomial], n: int):
-    """Monomials outside the leads: (count, max total degree).
-
-    The leads must contain a pure power of every variable."""
-    count = 0
-    top = 0
-    for _, deg in _standard_monomials(leads, n):
-        count += 1
-        if deg > top:
-            top = deg
-    return count, top
-
-
 class _Corner:
     """Top degree of the staircase of a growing lead module plus m^cap.
 
-    A component's staircase is walked once its leads hold a pure power of
-    every variable (before that it reaches degree cap - 1, and no corner
-    exists), and again only when a new lead clears the top layer, the
-    standard monomials of top degree; nothing else can lower the top.
+    This is the highest-corner certificate of a truncated run modulo
+    m^cap: once every component's staircase tops out at a degree t with
+    t + 2 <= cap, every monomial of degree t+1 is a lead term, so m^(t+1)
+    lies in M + m^(t+2) and hence, by Nakayama, in M.  A component's
+    staircase is walked after each new lead of that component, once its
+    leads hold a pure power of every variable; before that it reaches
+    degree cap - 1, and no corner exists.
     """
 
-    __slots__ = ("n", "leads", "layers", "tops")
+    __slots__ = ("n", "leads", "tops")
 
     def __init__(self, rank: int, n: int):
         self.n = n
         self.leads: list[list[Monomial]] = [[] for _ in range(rank)]
-        self.layers: list[list[Monomial] | None] = [None] * rank
-        self.tops = [0] * rank
+        self.tops: list[int | None] = [None] * rank
 
     def add(self, term: Term, cap: int) -> int | None:
         """Record a new lead term; return the top degree of the staircase
         below `cap`, the run's current bound, or None while some
-        component still lacks a pure power.  The layers stay valid as long
-        as the bound is only lowered to a returned top plus one."""
+        component still lacks a pure power."""
         comp, mono = term
         leads = self.leads[comp]
         leads.append(mono)
-        layer = self.layers[comp]
-        if layer is not None:
-            layer = [a for a in layer if not mono_divides(mono, a)]
-        elif _missing_pure_powers(leads, self.n):
+        if self.tops[comp] is None and _missing_pure_powers(leads, self.n):
             return None
-        if not layer:
-            top, layer = 0, []
-            for a, deg in _standard_monomials(leads, self.n, cap):
-                if deg > top:
-                    top, layer = deg, [a]
-                elif deg == top:
-                    layer.append(a)
-            self.tops[comp] = top
-        self.layers[comp] = layer
-        if any(l is None for l in self.layers):
+        self.tops[comp] = max(_standard_monomials(leads, self.n, cap), default=0)
+        if None in self.tops:
             return None
         return max(self.tops)
 
@@ -771,25 +741,21 @@ def local_colength(module: Submodule):
     """Colength of a submodule, computed with certified degree truncation.
 
     Standard bases are computed modulo m^D for D = 2, 3, 4, 6, 8, 12, ...,
-    28.  Once the staircase has top degree d with d + 2 <= D, every
-    monomial of degree d+1 lies in the lead module, so m^(d+1) lies in
-    M + m^(d+2) and hence, by Nakayama, in the module M itself, and the
-    count is exact.  Each truncated run applies this highest-corner
-    certificate after every new lead term and then continues modulo
-    m^(d+1) (see standard_basis), so a run that ends below its rung D is
-    certified; so is one whose final staircase passes the test.  A
-    colength whose staircase tops out at degree d is therefore certified
-    at the first rung D >= d + 2: the ideal (x, y^2) at D = 3, a unit
-    module at D = 2.  The low rungs are cheap, and most colengths in
-    practice are small.  If no truncation level certifies (in particular
-    whenever the colength is infinite), the exact untruncated computation
-    decides.
+    28.  A rung is certified when its run ended below D, i.e. when the
+    highest corner appeared (see standard_basis and _Corner): the
+    staircase topped out at a degree d with d + 2 <= D, so m^(d+1) lies
+    in M + m^(d+2) and hence, by Nakayama, in the module M itself, and
+    the count is exact.  A colength whose staircase tops out at degree d
+    is therefore certified at the first rung D >= d + 2: the ideal
+    (x, y^2) at D = 3, a unit module at D = 2.  The low rungs are cheap,
+    and most colengths in practice are small.  If no truncation level
+    certifies (in particular whenever the colength is infinite), the
+    exact untruncated computation decides.
     """
     for degree in _TRUNCATION_LADDER:
         basis = standard_basis(module, truncate_degree=degree)
-        value, top = _colength_stats(basis)
-        if is_finite(value) and (basis.truncated_at < degree or top + 2 <= degree):
-            return value
+        if basis.truncated_at < degree:
+            return colength(basis)
     return colength(standard_basis(module))
 
 

@@ -35,9 +35,6 @@ import _oracle as oracle
 import germs
 from germs import D3_PAIRS, LOW_DIM_PAIRS, R1, R2, R3, R4, SUSPENSION4, poly
 
-# the package re-exports functions under the submodule's name
-sb = importlib.import_module("germlab.standard_basis")
-
 
 def ideal(ring, *exprs):
     return Submodule.ideal(ring, [poly(e, ring) for e in exprs])
@@ -417,6 +414,12 @@ def test_truncated_run_lowers_its_bound_at_the_corner():
     # no corner while a pure power is missing, and none in exact runs
     assert standard_basis(ideal(R2, "x"), truncate_degree=8).truncated_at == 8
     assert standard_basis(ideal(R2, "x", "y^2")).truncated_at is None
+    # a block order may rank a lead above trailing terms of lower degree,
+    # so block runs keep their bound
+    pairs = (("x", "0"), ("y", "0"), ("0", "x"), ("0", "y"))
+    maximal = Submodule(R2, 2, [element(R2, *p) for p in pairs])
+    assert standard_basis(maximal, truncate_degree=8).truncated_at == 1
+    assert standard_basis(maximal, block=1, truncate_degree=8).truncated_at == 8
 
 
 def test_corner_certifies_a_quadric_slice_within_a_rung_eight_budget():
@@ -474,19 +477,18 @@ def test_exact_bases_are_unchanged_on_every_germ():
 # ------------------------------------------------------------ staircase walk
 
 
-def box_colength_stats(lead_terms, n, rank):
+def box_colength(lead_terms, n, rank):
     """The bounding-box count the staircase walk replaced, kept as its
     oracle: every monomial below the smallest pure powers is tested
-    against every lead.  (colength, top degree) or (INFINITE, None)."""
+    against every lead."""
     total = 0
-    top = 0
     for comp in range(rank):
         leads = [m for c, m in lead_terms if c == comp]
         bounds = []
         for i in range(n):
             pure = [m[i] for m in leads if all(e == 0 for k, e in enumerate(m) if k != i)]
             if not pure:
-                return INFINITE, None
+                return INFINITE
             bounds.append(min(pure))
         stack = [(0, ())]
         while stack:
@@ -494,11 +496,10 @@ def box_colength_stats(lead_terms, n, rank):
             if i == n:
                 if not any(all(a <= b for a, b in zip(l, prefix)) for l in leads):
                     total += 1
-                    top = max(top, sum(prefix))
                 continue
             for e in range(bounds[i]):
                 stack.append((i + 1, prefix + (e,)))
-    return total, top
+    return total
 
 
 def lead_basis(ring, rank, lead_terms):
@@ -525,14 +526,14 @@ def test_staircase_walk_matches_box_count(rank, mixed, pure, unit):
     if unit:
         leads.append((0, (0, 0, 0)))
     basis = lead_basis(R3, rank, leads)
-    assert sb._colength_stats(basis) == box_colength_stats(leads, 3, rank)
+    assert colength(basis) == box_colength(leads, 3, rank)
 
 
 def test_staircase_walk_of_unit_and_full_modules():
     one = (0, 0, 0)
-    assert sb._colength_stats(lead_basis(R3, 2, [(0, one), (1, one)])) == (0, 0)
+    assert colength(lead_basis(R3, 2, [(0, one), (1, one)])) == 0
     powers = [(c, m) for c in range(2) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    assert sb._colength_stats(lead_basis(R3, 2, powers)) == (2, 0)
+    assert colength(lead_basis(R3, 2, powers)) == 2
 
 
 def test_staircase_walk_grows_with_the_staircase_not_its_box():
@@ -544,7 +545,7 @@ def test_staircase_walk_grows_with_the_staircase_not_its_box():
         tuple(1 if k in (i, j) else 0 for k in range(4))
         for i in range(4) for j in range(i + 1, 4)
     ]
-    assert sb._count_staircase(leads, 4) == (4 * e - 3, e - 1)
+    assert colength(lead_basis(R4, 1, [(0, m) for m in leads])) == 4 * e - 3
 
 
 # ------------------------------------------------------------ krull dimension
