@@ -6,11 +6,12 @@ For a germ (X,0) with ideal generated by f_1..f_k, the module of tangent
     Theta_X = {xi : df_r(xi) lies in the ideal, for every r},
 
 computed one generator at a time: the fields satisfying the condition for
-f_r are the first n coordinates of the syzygies of the row
+f_r are the pullback of the ideal along the row (df_r/dx_1, ..., df_r/dx_n),
+i.e. the first n coordinates of the syzygies of
 
     (df_r/dx_1, ..., df_r/dx_n, f_1, ..., f_k),
 
-and Theta_X is the intersection of those projections over r.  The
+and Theta_X is the intersection of those pullbacks over r.  The
 generators are then minimised with one more syzygy computation (see
 _minimise): over the local ring O, a generator g_i is redundant exactly
 when some relation sum_j a_j g_j = 0 has a unit a_i, so only the constant
@@ -27,7 +28,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import PreconditionViolation
-from .module_ops import intersect, module_sum, syzygies
+from .module_ops import intersect, module_sum, submodule_pullback, syzygies
 from .ring import Polynomial, RingSpec, gradient
 from .standard_basis import (
     ModuleElement,
@@ -155,19 +156,10 @@ def _minimise(gens: list[ModuleElement]) -> list[ModuleElement]:
 
 def _unminimised_theta(X: VarietyGerm) -> list[ModuleElement]:
     """Generators of Theta_X for a proper germ, before minimisation."""
-    ring = X.ring
-    n = ring.n
     result: Submodule | None = None
     for f_r in X.generators:
-        row = [ModuleElement.from_polynomial(f_r.derivative(i)) for i in range(n)]
-        row += [ModuleElement.from_polynomial(g) for g in X.generators]
-        relations = syzygies(row)  # submodule of O^(n+k)
-        projected = []
-        for rel in relations.generators:
-            vec = {(c, mono): coeff for (c, mono), coeff in rel.terms.items() if c < n}
-            if vec:
-                projected.append(ModuleElement._raw(ring, n, vec))
-        tangent_r = Submodule(ring, n, list(dict.fromkeys(projected)))
+        row = [ModuleElement.from_polynomial(f_r.derivative(i)) for i in range(X.ring.n)]
+        tangent_r = submodule_pullback(row, X.ideal)
         result = tangent_r if result is None else intersect(result, tangent_r)
     return list(dict.fromkeys(result.generators))
 

@@ -1,9 +1,11 @@
 """Derived module operations built on the standard-basis kernel.
 
 Everything here reduces to one primitive: standard bases of graph modules
-under a block-eliminating order.  Intersections, subquotient dimensions
-and submodule pullbacks are all obtained from syzygies, which keeps every
-computation inside a single local-ordering engine.
+under a block-eliminating order.  `syzygies` reads relations off such a
+basis, and `submodule_pullback` is the one place that projects them:
+intersections, subquotient dimensions and Theta_X (`derlog`) are all
+pullbacks, which keeps every computation inside a single local-ordering
+engine.
 """
 
 from __future__ import annotations
@@ -51,24 +53,18 @@ def syzygies(gens: Sequence[ModuleElement]) -> Submodule:
 
 
 def intersect(M: Submodule, N: Submodule) -> Submodule:
-    """Generators of M intersect N via syzygies of the combined generators."""
+    """Generators of M intersect N: the images sum_i a_i * g_i of the rows
+    a of the pullback of N along M's generators g_i."""
     if M.ring != N.ring or M.rank != N.rank:
         raise ValueError("submodules live in different ambient modules")
     if M.is_zero() or N.is_zero():
         return Submodule.zero(M.ring, M.rank)
-    combined = list(M.generators) + list(N.generators)
-    relations = syzygies(combined)
-    r = len(M.generators)
-    out = []
-    for rel in relations.generators:
-        comps = rel.components
-        combo = ModuleElement.zero(M.ring, M.rank)
-        for i in range(r):
-            if comps[i]:
-                combo = combo + M.generators[i] * comps[i]
-        if combo:
-            out.append(combo)
-    return Submodule(M.ring, M.rank, list(dict.fromkeys(out)))
+    zero = ModuleElement.zero(M.ring, M.rank)
+    combos = [
+        sum((g * a for g, a in zip(M.generators, row.components) if a), zero)
+        for row in submodule_pullback(M.generators, N).generators
+    ]
+    return Submodule(M.ring, M.rank, list(dict.fromkeys(combos)))
 
 
 def product(I: Submodule, J: Submodule) -> Submodule:
@@ -125,21 +121,21 @@ def jacobian_minors(fs: Sequence[Polynomial], k: int) -> Submodule:
     return Submodule.ideal(ring, list(dict.fromkeys(minors)))
 
 
-def submodule_pullback(M: Submodule, N: Submodule) -> Submodule:
-    """The module K = {a in O^r : sum a_i * g_i lies in N}, g_i generating M.
+def submodule_pullback(gens: Sequence[ModuleElement], N: Submodule) -> Submodule:
+    """The module K = {a in O^r : sum a_i * g_i lies in N} of a generator
+    sequence g_1..g_r.
 
     K is the projection of the syzygy module of (g_1..g_r, n_1..n_s) onto
-    the first r coordinates.
+    the first r coordinates.  A zero generator keeps its position, so K
+    has rank r and contains its unit vector.
     """
-    r = len(M.generators)
-    combined = list(M.generators) + list(N.generators)
-    relations = syzygies(combined)
-    projected = []
-    for rel in relations.generators:
-        vec = {(c, mono): coeff for (c, mono), coeff in rel.terms.items() if c < r}
-        if vec:
-            projected.append(ModuleElement._raw(M.ring, r, vec))
-    return Submodule(M.ring, r, list(dict.fromkeys(projected)))
+    gens = list(gens)
+    r = len(gens)
+    projected = [
+        ModuleElement._raw(N.ring, r, {(c, m): v for (c, m), v in rel.terms.items() if c < r})
+        for rel in syzygies(gens + list(N.generators)).generators
+    ]
+    return Submodule(N.ring, r, list(dict.fromkeys(projected)))
 
 
 def subquotient_dimension(M: Submodule, N: Submodule):
@@ -159,4 +155,4 @@ def subquotient_dimension(M: Submodule, N: Submodule):
     for g in N.generators:
         if not sb.contains(g):
             raise ContainmentViolation("second module is not contained in the first")
-    return local_colength(submodule_pullback(M, N))
+    return local_colength(submodule_pullback(M.generators, N))

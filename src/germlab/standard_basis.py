@@ -9,10 +9,10 @@ the quotient identity holds only up to a unit u with u(0) != 0:
 
     u * f  =  sum_i q_i * g_i  +  remainder.
 
-Every recruited reducer enters the identity multiplied by a monomial of
-positive degree, so u stays a unit throughout; the certificate returned by
-`mora_normal_form` records u and the q_i so callers can re-check the
-identity exactly.
+The reduction loop tracks nothing but the remainder.  `mora_normal_form`
+reads u and the q_i off one normal form in a graph module, where they are
+components of the remainder itself, so callers can re-check the identity
+exactly.
 
 Colength and Krull dimension are read off the lead-term module of a
 standard basis: the monomials (with component) outside it form a vector
@@ -164,12 +164,7 @@ class ModuleElement:
     def __add__(self, other: ModuleElement) -> ModuleElement:
         self._check(other)
         out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            val = out.get(key, 0) + coeff
-            if val:
-                out[key] = val
-            else:
-                del out[key]
+        _vec_axpy(out, other.terms, self.ring.zero_monomial(), _ONE)
         return ModuleElement._raw(self.ring, self.rank, out)
 
     def __sub__(self, other: ModuleElement) -> ModuleElement:
@@ -186,14 +181,8 @@ class ModuleElement:
             if scalar.ring != self.ring:
                 raise ValueError("mixed rings")
             out: Vec = {}
-            for (comp, mono), coeff in self.terms.items():
-                for smono, scoeff in scalar.terms.items():
-                    key = (comp, mono_mul(mono, smono))
-                    val = out.get(key, 0) + coeff * scoeff
-                    if val:
-                        out[key] = val
-                    else:
-                        del out[key]
+            for smono, scoeff in scalar.terms.items():
+                _vec_axpy(out, self.terms, smono, scoeff)
             return ModuleElement._raw(self.ring, self.rank, out)
         factor = Fraction(scalar)
         if not factor:
@@ -291,24 +280,16 @@ class _Budget:
 
 
 class _Entry:
-    """A reducer: either a basis/generator element or a recruited remainder.
+    """A reducer: a basis/generator element or a recruited remainder,
+    stored content-normalized (coprime integer coefficients)."""
 
-    `vec` is stored content-normalized (coprime integer coefficients) and
-    `scale` recovers the semantic value as scale*vec: the generator g_j for
-    originals, the running remainder snapshot for recruits.
-    """
+    __slots__ = ("vec", "lt", "lc", "ecart")
 
-    __slots__ = ("vec", "lt", "lc", "ecart", "scale", "index", "unit", "quot")
-
-    def __init__(self, vec, lt, lc, ecart, scale, index=None, unit=None, quot=None):
+    def __init__(self, vec, lt, lc, ecart):
         self.vec = vec
         self.lt = lt
         self.lc = lc
         self.ecart = ecart
-        self.scale = scale
-        self.index = index  # certificates only: position in the generator list
-        self.unit = unit    # recruits only: scale*vec = unit*f - sum quot[j]*g_j
-        self.quot = quot
 
 
 def _vec_axpy(target: Vec, source: Vec, shift: Monomial, factor: Fraction,
@@ -355,51 +336,41 @@ def _content(vec: Vec) -> Fraction:
     return Fraction(num_gcd, den_lcm)
 
 
-def _normalize(vec: Vec) -> Fraction:
-    """Divide vec by its content in place; returns the removed content.
+def _normalize(vec: Vec):
+    """Divide a nonzero vec by its content in place.
 
     Keeping every working remainder primitive is what prevents the
     geometric coefficient swell of naive rational division chains (the
-    primitive-remainder-sequence idea); the removed scalars are carried in
-    the certificate instead.
+    primitive-remainder-sequence idea).  No scalar is carried: a weak
+    normal form is only defined up to a unit, and the certificate of
+    `mora_normal_form` is part of the vector being scaled.
     """
     c = _content(vec)
     if c != 1:
         inv = 1 / c
         for key in vec:
             vec[key] *= inv
-    return c
 
 
-def _make_entry(vec: Vec, keyf, index=None) -> _Entry:
+def _make_entry(vec: Vec, keyf) -> _Entry:
     vec = dict(vec)
-    scale = _normalize(vec)
+    _normalize(vec)
     lt, maxdeg = _lead_and_maxdeg(vec, keyf)
-    return _Entry(vec, lt, vec[lt], maxdeg - sum(lt[1]), scale, index)
+    return _Entry(vec, lt, vec[lt], maxdeg - sum(lt[1]))
 
 
 def _mora_nf(f_vec: Vec, entries: list[_Entry], keyf, budget: _Budget,
-             bound: int | None = None, one: Vec | None = None):
+             bound: int | None = None) -> Vec:
     """Mora weak normal form of f_vec against `entries`.
 
-    Returns (remainder, unit, quotients); the remainder is content-
-    normalized, which is harmless since a weak normal form is only defined
-    up to units anyway.  When `one` (the constant 1 as a rank-1 vector) is
-    given, unit and quotients are rank-1 vectors satisfying
-
-        unit*f = sum quotients[j]*g_j + remainder,   unit(0) != 0,
-
-    for the semantic generators g_j (entry scales included); otherwise
-    unit is None and quotients is empty.  `bound` works modulo m^bound as
-    in _vec_axpy and is never combined with `one`.
+    The remainder is content-normalized, which is harmless since a weak
+    normal form is only defined up to units anyway.  `bound` works modulo
+    m^bound as in _vec_axpy.
     """
-    track = one is not None
     h: Vec = dict(f_vec)
-    scale = _normalize(h) if h else _ONE  # semantic remainder = scale*h
-    unit = dict(one) if track else None
-    quot: dict[int, Vec] = {}
     reducers = list(entries)
     while h:
+        _normalize(h)
         lt_h, maxdeg_h = _lead_and_maxdeg(h, keyf)
         comp_h, mono_h = lt_h
         chosen = None
@@ -412,41 +383,12 @@ def _mora_nf(f_vec: Vec, entries: list[_Entry], keyf, budget: _Budget,
         budget.spend()
         ecart_h = maxdeg_h - sum(mono_h)
         if chosen.ecart > ecart_h:
-            # Recruit the current remainder: its lead strictly decreases from
-            # here on, so any later use multiplies the identity by a monomial
-            # of positive degree and the tracked unit stays a unit.
-            reducers.append(
-                _Entry(
-                    dict(h),
-                    lt_h,
-                    h[lt_h],
-                    ecart_h,
-                    scale,
-                    None,
-                    dict(unit) if track else None,
-                    {j: dict(d) for j, d in quot.items()} if track else None,
-                )
-            )
+            # Recruit the current remainder; the lead of h strictly
+            # decreases from here on.
+            reducers.append(_Entry(dict(h), lt_h, h[lt_h], ecart_h))
         shift = mono_div(mono_h, chosen.lt[1])
-        factor = h[lt_h] / chosen.lc
-        _vec_axpy(h, chosen.vec, shift, -factor, bound)
-        if track:
-            m_coeff = scale * factor / chosen.scale
-            if chosen.index is not None:
-                _vec_axpy(quot.setdefault(chosen.index, {}), one, shift, m_coeff)
-            else:
-                _vec_axpy(unit, chosen.unit, shift, -m_coeff)
-                for j, qd in chosen.quot.items():
-                    _vec_axpy(quot.setdefault(j, {}), qd, shift, -m_coeff)
-        if h:
-            scale *= _normalize(h)
-    if track and scale != 1:
-        # rescale so the identity matches the normalized remainder exactly
-        inv = 1 / scale
-        for vec in (unit, *quot.values()):
-            for key in vec:
-                vec[key] *= inv
-    return h, unit, quot
+        _vec_axpy(h, chosen.vec, shift, -h[lt_h] / chosen.lc, bound)
+    return h
 
 
 class MoraCertificate:
@@ -481,26 +423,42 @@ def mora_normal_form(
 
     No lead term of the remainder is divisible by a lead term of gens in
     the matching component (term-over-position order).
+
+    The certificate is read off one normal form in the graph module
+    O^(rank+1+s), s = len(gens): f becomes F = (f | 1 | 0) and each
+    nonzero g_i becomes G_i = (g_i | 0 | e_i), under `term_key(rank)`,
+    which eliminates the first block and orders it term-over-position.
+    Every working vector is an O-combination u*F - sum_i q_i*G_i, that is
+    (u*f - sum_i q_i*g_i | u | -q).  While the first block is nonzero it
+    holds the lead, so each step reduces it against gens (the ecart counts
+    the whole vector), and the loop stops there when no lead of gens
+    divides it.  Once the block is zero the lead is a tag term, which no
+    reducer lead matches (every reducer has its lead in the first block),
+    so the loop stops as well.  Either way it ends at (r | u | -q) with
+    u*f = sum_i q_i*g_i + r.
+
+    u(0) != 0: u starts at 1 and the G_i have no u-part, so only recruits
+    change u.  A recruit is a snapshot of the working vector when its
+    lead was L; it reduces only a later lead L', which is strictly
+    smaller than L (each step cancels the lead) and divisible by it, so
+    it is used times the monomial L'/L of positive degree and leaves u(0)
+    unchanged.  Content normalization only rescales u(0).
     """
-    ring, rank = f.ring, f.rank
-    keyf = term_key()
+    ring, rank, s = f.ring, f.rank, len(gens)
+    for g in gens:
+        if g.ring != ring or g.rank != rank:
+            raise ValueError("generators live in different modules")
+    zero = ring.zero_monomial()
+    keyf = term_key(rank)
     entries = [
-        _make_entry(dict(g.terms), keyf, index=i) for i, g in enumerate(gens) if g.terms
+        _make_entry({**g.terms, (rank + 1 + i, zero): _ONE}, keyf)
+        for i, g in enumerate(gens) if g.terms
     ]
-    budget = _Budget(f"in a normal form of rank {rank} against {len(gens)} generators")
-    one = {(0, ring.zero_monomial()): _ONE}
-    rem, unit, quot = _mora_nf(dict(f.terms), entries, keyf, budget, one=one)
-
-    def poly(vec: Vec) -> Polynomial:
-        return Polynomial._raw(ring, {mono: c for (_, mono), c in vec.items()})
-
-    quotients = [Polynomial.zero(ring)] * len(gens)
-    for j, qd in quot.items():
-        quotients[j] = poly(qd)
-    return (
-        ModuleElement._raw(ring, rank, rem),
-        MoraCertificate(poly(unit), tuple(quotients)),
-    )
+    budget = _Budget(f"in a normal form of rank {rank} against {s} generators")
+    graph = _mora_nf({**f.terms, (rank, zero): _ONE}, entries, keyf, budget)
+    comps = ModuleElement._raw(ring, rank + 1 + s, graph).components
+    certificate = MoraCertificate(comps[rank], tuple(-q for q in comps[rank + 1:]))
+    return ModuleElement.from_polynomials(comps[:rank]), certificate
 
 
 class StandardBasis:
@@ -525,7 +483,7 @@ class StandardBasis:
 
     def _reducer_entries(self) -> list[_Entry]:
         if self._entries is None:
-            self._entries = [_make_entry(dict(e.terms), self.key) for e in self.elements]
+            self._entries = [_make_entry(e.terms, self.key) for e in self.elements]
         return self._entries
 
     def normal_form(self, f: ModuleElement) -> ModuleElement:
@@ -539,8 +497,7 @@ class StandardBasis:
             f"in a normal form of rank {f.rank} against a standard basis of "
             f"{len(entries)} elements"
         )
-        rem, _, _ = _mora_nf(dict(f.terms), entries, self.key, budget)
-        return ModuleElement._raw(f.ring, f.rank, rem)
+        return ModuleElement._raw(f.ring, f.rank, _mora_nf(f.terms, entries, self.key, budget))
 
     def contains(self, f: ModuleElement) -> bool:
         return self.normal_form(f).is_zero()
@@ -600,7 +557,7 @@ def standard_basis(
         if vec[lt] < 0:
             vec = {k: -c for k, c in vec.items()}
         idx = len(basis)
-        basis.append(_Entry(vec, lt, vec[lt], maxdeg - sum(lt[1]), _ONE))
+        basis.append(_Entry(vec, lt, vec[lt], maxdeg - sum(lt[1])))
         for other in range(idx):
             o_lt = basis[other].lt
             if o_lt[0] == lt[0]:
@@ -625,7 +582,7 @@ def standard_basis(
         _vec_axpy(s_vec, gj.vec, mono_div(lcm, gj.lt[1]), -gi.lc, bound)
         if not s_vec:
             continue
-        rem, _, _ = _mora_nf(s_vec, basis, keyf, budget, bound)
+        rem = _mora_nf(s_vec, basis, keyf, budget, bound)
         if rem:
             push(rem)
 

@@ -13,6 +13,7 @@ from germlab import (
     module_sum,
     product,
     standard_basis,
+    submodule_pullback,
     subquotient_dimension,
     syzygies,
 )
@@ -193,6 +194,16 @@ def test_jacobian_minors_drop_zero():
 def test_jacobian_minors_errors():
     with pytest.raises(ValueError):
         jacobian_minors([poly("x", R2), poly("y", R2), poly("x*y", R2)], 3)
+
+
+def test_pullback_keeps_the_position_of_a_zero_generator():
+    # {a : 0*a_0 + x*a_1 in (x^2)} = <e_0, x*e_1>, in rank 2
+    gens = [ModuleElement.zero(R1, 1), rank1(R1, "x")]
+    K = submodule_pullback(gens, Submodule.ideal(R1, [poly("x^2", R1)]))
+    expected = Submodule(R1, 2, [elem(R1, "1", "0"), elem(R1, "0", "x")])
+    assert K.rank == 2
+    assert all(standard_basis(K).contains(e) for e in expected.generators)
+    assert all(standard_basis(expected).contains(g) for g in K.generators)
 
 
 # ------------------------------------------------------------- subquotients

@@ -131,6 +131,33 @@ def test_nf_certificate_identity(multipliers):
     assert cert.unit.constant_term() != 0
 
 
+def lead(el):
+    return max(el.terms, key=term_key())
+
+
+small_elements2 = st.tuples(small_polys, small_polys).map(ModuleElement.from_polynomials)
+
+
+@given(small_elements2, st.lists(small_elements2, min_size=1, max_size=3))
+def test_nf_certificate_on_random_rank_two_generators(f, gens):
+    rem, cert = mora_normal_form(f, gens)
+    assert cert.verify(f, gens, rem)
+    assert cert.unit.constant_term() != 0
+    if rem:
+        comp, mono = lead(rem)
+        for g in gens:
+            if g:
+                gc, gm = lead(g)
+                assert not (gc == comp and all(a <= b for a, b in zip(gm, mono)))
+
+
+def test_nf_rejects_generators_of_another_module():
+    f = element(R2, "x^2 + y")
+    for g in (element(R2, "x", "y"), element(R1, "x")):
+        with pytest.raises(ValueError, match="different modules"):
+            mora_normal_form(f, [element(R2, "y^2"), g])
+
+
 # ------------------------------------------------------------- standard bases
 
 
