@@ -7,17 +7,17 @@ For a germ (X,0) with ideal generated by f_1..f_k, the module of tangent
 
 computed one generator at a time: the fields satisfying the condition for
 f_r are the pullback of the ideal along the row (df_r/dx_1, ..., df_r/dx_n),
-i.e. the first n coordinates of the syzygies of
 
-    (df_r/dx_1, ..., df_r/dx_n, f_1, ..., f_k),
+    {xi in O^n : sum_i xi_i * df_r/dx_i lies in (f_1, ..., f_k)},
 
-and Theta_X is the intersection of those pullbacks over r.  The
-generators are then minimised with one more syzygy computation (see
-_minimise): over the local ring O, a generator g_i is redundant exactly
-when some relation sum_j a_j g_j = 0 has a unit a_i, so only the constant
-parts a(0) of the relations matter.  By Nakayama's lemma an irredundant
-generating set is minimal, so the number of generators kept is the
-minimal number of generators of Theta_X, whatever the input order.
+read off one graph module (`module_ops.submodule_pullback`), and Theta_X
+is the intersection of those pullbacks over r.  The generators are then
+minimised with one syzygy computation (see _minimise): over the local
+ring O, a generator g_i is redundant exactly when some relation
+sum_j a_j g_j = 0 has a unit a_i, so only the constant parts a(0) of the
+relations matter.  By Nakayama's lemma an irredundant generating set is
+minimal, so the number of generators kept is the minimal number of
+generators of Theta_X, whatever the input order.
 
 The three Bruce-Roberts-type numbers are colengths of df(Theta_X),
 optionally enlarged by the ideal of X or by the function itself.

@@ -1,11 +1,11 @@
 """Derived module operations built on the standard-basis kernel.
 
-Everything here reduces to one primitive: standard bases of graph modules
-under a block-eliminating order.  `syzygies` reads relations off such a
-basis, and `submodule_pullback` is the one place that projects them:
-intersections, subquotient dimensions and Theta_X (`derlog`) are all
-pullbacks, which keeps every computation inside a single local-ordering
-engine.
+Everything here reduces to one primitive, the submodule pullback
+K = {a : sum a_i * g_i in N}, read off one standard basis of a graph
+module under a block-eliminating order (`submodule_pullback`).  Syzygies
+are the pullback of the zero submodule; intersections, subquotient
+dimensions and Theta_X (`derlog`) are pullbacks too, which keeps every
+computation inside a single local-ordering engine.
 """
 
 from __future__ import annotations
@@ -20,36 +20,12 @@ from .standard_basis import ModuleElement, Submodule, local_colength, standard_b
 
 
 def syzygies(gens: Sequence[ModuleElement]) -> Submodule:
-    """Generators of the relation module {a in O^r : sum a_i * g_i = 0}.
-
-    Computed from a standard basis of the graph module spanned by the
-    g_i extended with tag components e_i, under an order that eliminates
-    the first block: basis elements with vanishing leading block are
-    exactly the syzygies, read off their tag parts.
-    """
+    """Generators of the relation module {a in O^r : sum a_i * g_i = 0}:
+    the pullback of the zero submodule along the g_i."""
     gens = list(gens)
     if not gens:
         raise ValueError("syzygies need at least one generator")
-    ring = gens[0].ring
-    m = gens[0].rank
-    for g in gens:
-        if g.ring != ring or g.rank != m:
-            raise ValueError("generators live in different modules")
-    r = len(gens)
-    zero = ring.zero_monomial()
-    graph = []
-    for i, g in enumerate(gens):
-        vec = dict(g.terms)
-        vec[(m + i, zero)] = Fraction(1)
-        graph.append(ModuleElement._raw(ring, m + r, vec))
-    sb = standard_basis(Submodule(ring, m + r, graph), block=m)
-    tags = []
-    for el, (lead_comp, _) in zip(sb.elements, sb.lead_terms):
-        if lead_comp >= m:
-            # Lead in the trailing block forces the whole leading block to vanish.
-            vec = {(c - m, mono): coeff for (c, mono), coeff in el.terms.items()}
-            tags.append(ModuleElement._raw(ring, r, vec))
-    return Submodule(ring, r, list(dict.fromkeys(tags)))
+    return submodule_pullback(gens, Submodule.zero(gens[0].ring, gens[0].rank))
 
 
 def intersect(M: Submodule, N: Submodule) -> Submodule:
@@ -123,19 +99,29 @@ def jacobian_minors(fs: Sequence[Polynomial], k: int) -> Submodule:
 
 def submodule_pullback(gens: Sequence[ModuleElement], N: Submodule) -> Submodule:
     """The module K = {a in O^r : sum a_i * g_i lies in N} of a generator
-    sequence g_1..g_r.
+    sequence g_1..g_r in N's ambient module O^m.
 
-    K is the projection of the syzygy module of (g_1..g_r, n_1..n_s) onto
-    the first r coordinates.  A zero generator keeps its position, so K
+    The graph module in O^(m+r) spanned by the (g_i | e_i) and the
+    (n_j | 0), n_j the generators of N, meets 0 + O^r in exactly 0 + K.
+    Under the order that eliminates the first block, the standard-basis
+    elements that lead in the tag block generate that part, and K is
+    spanned by their tag parts.  A zero generator keeps its position, so K
     has rank r and contains its unit vector.
     """
-    gens = list(gens)
-    r = len(gens)
-    projected = [
-        ModuleElement._raw(N.ring, r, {(c, m): v for (c, m), v in rel.terms.items() if c < r})
-        for rel in syzygies(gens + list(N.generators)).generators
+    ring, m, r = N.ring, N.rank, len(gens)
+    if any(g.ring != ring or g.rank != m for g in gens):
+        raise ValueError("generators live in different modules")
+    zero = ring.zero_monomial()
+    graph = [ModuleElement._raw(ring, m + r, {**g.terms, (m + i, zero): Fraction(1)})
+             for i, g in enumerate(gens)]
+    graph += [ModuleElement._raw(ring, m + r, n.terms) for n in N.generators]
+    sb = standard_basis(Submodule(ring, m + r, graph), block=m)
+    tags = [
+        ModuleElement._raw(ring, r, {(c - m, mono): v for (c, mono), v in el.terms.items()})
+        for el, (lead_comp, _) in zip(sb.elements, sb.lead_terms)
+        if lead_comp >= m
     ]
-    return Submodule(N.ring, r, list(dict.fromkeys(projected)))
+    return Submodule(ring, r, list(dict.fromkeys(tags)))
 
 
 def subquotient_dimension(M: Submodule, N: Submodule):

@@ -24,7 +24,7 @@ def term_key(block: int = 0):
     index.  With `block > 0` it is block-eliminating: every term whose
     component lies in the leading block (components 0 .. block-1) beats
     every term in the trailing block, and within a block terms compare
-    term-over-position.  The block order is what makes syzygy extraction
+    term-over-position.  The block order is what makes submodule pullbacks
     work: an element whose lead component lies in the trailing block can
     have no leading-block terms at all.
     """

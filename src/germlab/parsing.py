@@ -14,11 +14,12 @@ All errors carry a 1-based line and column.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParseError
-from .ring import Polynomial, RingSpec
+from .ring import IDENTIFIER, Polynomial, RingSpec
 
 
 class _Token(NamedTuple):
@@ -29,6 +30,9 @@ class _Token(NamedTuple):
 
 
 _OPERATORS = set("+-*/^()")
+# ASCII digits and names only: str.isdigit and str.isalpha would also take
+# characters such as '²' or '٣'.
+_WORD = re.compile(rf"(?P<num>[0-9]+)|(?P<ident>{IDENTIFIER})")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -46,21 +50,11 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
-            start = i
-            start_col = col
-            while i < size and text[i].isdigit():
-                i += 1
-                col += 1
-            tokens.append(_Token("num", text[start:i], line, start_col))
-            continue
-        if ch.isalpha():
-            start = i
-            start_col = col
-            while i < size and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(_Token("ident", text[start:i], line, start_col))
+        word = _WORD.match(text, i)
+        if word:
+            tokens.append(_Token(word.lastgroup, word.group(), line, col))
+            col += word.end() - i
+            i = word.end()
             continue
         if ch in _OPERATORS:
             tokens.append(_Token(ch, ch, line, col))

@@ -18,7 +18,8 @@ from typing import Iterable, Mapping
 
 Monomial = tuple[int, ...]
 
-_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# A variable name (ASCII only); the expression parser reads names by it too.
+IDENTIFIER = r"[A-Za-z][A-Za-z0-9_]*"
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -54,7 +55,7 @@ class RingSpec:
         if not names:
             raise ValueError("a ring needs at least one variable")
         for name in names:
-            if not _IDENTIFIER.match(name):
+            if not re.fullmatch(IDENTIFIER, name):
                 raise ValueError(f"invalid variable name {name!r}")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
@@ -91,6 +92,13 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"coefficients must be rational, got {type(value).__name__}")
 
 
+def _as_monomial(ring: RingSpec, mono) -> Monomial:
+    mono = tuple(mono)
+    if len(mono) != ring.n or any(e < 0 for e in mono):
+        raise ValueError(f"bad exponent tuple {mono!r} for {ring!r}")
+    return mono
+
+
 class Polynomial:
     """A polynomial with exact rational coefficients in a fixed ring."""
 
@@ -100,11 +108,8 @@ class Polynomial:
         self.ring = ring
         clean: dict[Monomial, Fraction] = {}
         if terms:
-            n = ring.n
             for mono, coeff in terms.items():
-                mono = tuple(mono)
-                if len(mono) != n or any(e < 0 for e in mono):
-                    raise ValueError(f"bad exponent tuple {mono!r} for {ring!r}")
+                mono = _as_monomial(ring, mono)
                 coeff = _as_fraction(coeff)
                 if coeff:
                     clean[mono] = coeff

@@ -20,10 +20,10 @@ space basis of the quotient.
 
 The kernel has two settings.  `standard_basis(module, block=...)` picks
 the module order (`orders.term_key`): term-over-position by default,
-block-eliminating for syzygies.  `step_cap(limit)` bounds the reduction
-steps of every standard-basis run and normal form started inside it; the
-cap is held in a context variable, so leaving the scope restores the
-previous one.
+block-eliminating for submodule pullbacks.  `step_cap(limit)` bounds
+the reduction steps of every standard-basis run and normal form started
+inside it; the cap is held in a context variable, so leaving the scope
+restores the previous one.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from .ring import (
     Monomial,
     Polynomial,
     RingSpec,
+    _as_fraction,
+    _as_monomial,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -106,8 +108,10 @@ class ModuleElement:
             for (comp, mono), coeff in terms.items():
                 if not 0 <= comp < rank:
                     raise ValueError(f"component {comp} out of range for rank {rank}")
+                mono = _as_monomial(ring, mono)
+                coeff = _as_fraction(coeff)
                 if coeff:
-                    clean[(comp, tuple(mono))] = Fraction(coeff)
+                    clean[(comp, mono)] = coeff
         self.terms = clean
 
     @classmethod
@@ -184,7 +188,7 @@ class ModuleElement:
             for smono, scoeff in scalar.terms.items():
                 _vec_axpy(out, self.terms, smono, scoeff)
             return ModuleElement._raw(self.ring, self.rank, out)
-        factor = Fraction(scalar)
+        factor = _as_fraction(scalar)
         if not factor:
             return ModuleElement.zero(self.ring, self.rank)
         return ModuleElement._raw(

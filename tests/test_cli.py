@@ -77,7 +77,7 @@ def test_theta_command(tmp_path, capsys):
     data = machine_block(out)
     assert data["theta.size"] == "2"
     gens = {data["theta.gen.1"], data["theta.gen.2"]}
-    assert gens == {"(0, 1)", "(-x, 0)"}
+    assert gens == {"(0, 1)", "(x, 0)"}
 
 
 def test_std_and_single_number_commands(tmp_path, capsys):
@@ -125,6 +125,15 @@ def test_exit_one_on_malformed_file(tmp_path, capsys):
     assert code == 1
     assert ":4:7: error:" in err
     assert "implicit multiplication" in err
+
+
+def test_exit_one_on_non_ascii_digit(tmp_path, capsys):
+    superscript = "[ring]\nvariables = x, y\n[variety]\ng1 = x^\u00b2 + y^2\n"
+    code, out, err = run(tmp_path, capsys, superscript, "milnor")
+    assert code == 1
+    assert out == ""
+    assert ":4:8: error: unexpected character" in err
+    assert "Traceback" not in err
 
 
 def test_exit_one_on_missing_file(tmp_path, capsys):

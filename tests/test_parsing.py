@@ -84,3 +84,10 @@ def test_error_positions():
 def test_number_power_is_rejected():
     with pytest.raises(ParseError):
         parse_polynomial("2^3", R2)
+
+
+@pytest.mark.parametrize("text, column", [("x^²", 3), ("2*²", 3), ("x + ٣", 5), ("xé", 2)])
+def test_only_ascii_digits_and_identifier_characters(text, column):
+    with pytest.raises(ParseError, match="unexpected character") as info:
+        parse_polynomial(text, R2)
+    assert (info.value.line, info.value.column) == (1, column)

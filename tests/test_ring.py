@@ -30,6 +30,25 @@ def test_zero_coefficients_never_stored():
     assert Polynomial(R2, {(1, 0): Fraction(0)}).is_zero()
 
 
+def test_module_elements_validate_like_polynomials():
+    one = (0, (0, 0))
+    for bad in (0.1, "1/3"):
+        with pytest.raises(TypeError):
+            Polynomial(R2, {(0, 0): bad})
+        with pytest.raises(TypeError):
+            ModuleElement(R2, 1, {one: bad})
+    for mono in ((1,), (1, 0, 0), (-1, 0)):
+        with pytest.raises(ValueError):
+            Polynomial(R2, {mono: 1})
+        with pytest.raises(ValueError):
+            ModuleElement(R2, 1, {(0, mono): 1})
+    e = ModuleElement.unit_vector(R2, 2, 1)
+    with pytest.raises(TypeError):
+        e * 0.5
+    assert e * Fraction(1, 2) == ModuleElement(R2, 2, {(1, (0, 0)): Fraction(1, 2)})
+    assert 3 * e == ModuleElement(R2, 2, {(1, (0, 0)): 3})
+
+
 def test_partial_derivative_examples():
     p = poly("x^2 + x*y", R2)
     assert p.derivative(0) == poly("2*x + y", R2)
