@@ -34,7 +34,7 @@ from .invariants import (
     tjurina_icis,
     verify_icis,
 )
-from .problemfile import ProblemFile, parse_problem_file
+from .problemfile import INTEGER, ProblemFile, parse_problem_file
 from .standard_basis import colength, krull_dimension, step_cap
 
 _COMMANDS = ("invariants", "theta", "std", "milnor", "tjurina", "check")
@@ -202,13 +202,17 @@ def _emit(command: str, path: str, seed: int, rows, checks, machine_only: bool):
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for a step cap: an int of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
+def _ascii_int(text: str) -> int:
+    """argparse type for an integer in ASCII digits, as a file's seed."""
+    if not INTEGER.fullmatch(text):
         # the message argparse gives for type=int
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a step cap: an integer of at least 1."""
+    value = _ascii_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -223,7 +227,7 @@ def main(argv=None) -> int:
     for name in _COMMANDS:
         sub = subparsers.add_parser(name)
         sub.add_argument("file", help="problem file describing the germ")
-        sub.add_argument("--seed", type=int, default=None, help="override the file's seed")
+        sub.add_argument("--seed", type=_ascii_int, default=None, help="override the file's seed")
         sub.add_argument(
             "--machine", action="store_true", help="suppress the human-readable block"
         )

@@ -17,6 +17,7 @@ carry the 1-based line and column in the original file.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -25,6 +26,10 @@ from .ring import Polynomial, RingSpec
 
 _SECTIONS = ("ring", "variety", "function", "options")
 DEFAULT_SEED = 42
+
+# An integer option, in ASCII digits: int() alone also takes other Unicode
+# digits and underscores.
+INTEGER = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -168,10 +173,9 @@ def _parse_options_section(entries) -> int:
             raise ParseError(f"duplicate option {key!r}", line_no, 1)
         seen.add(key)
         if key == "seed":
-            try:
-                seed = int(value)
-            except ValueError:
-                raise ParseError(f"seed must be an integer, got {value!r}", line_no, col) from None
+            if not INTEGER.fullmatch(value):
+                raise ParseError(f"seed must be an integer, got {value!r}", line_no, col)
+            seed = int(value)
         else:
             raise ParseError(f"unknown option {key!r}", line_no, 1)
     return seed

@@ -1,11 +1,22 @@
 """Weak normal forms and standard bases over local orderings.
 
 Elements of a free module O^m are stored as dicts mapping (component,
-monomial) pairs to nonzero Fraction coefficients.  Division is Mora's
-variant: a reduction may recruit an earlier partial remainder as a new
-reducer when every divisor of the lead term has larger ecart, which is
-exactly what makes the loop terminate for local orders.  The price is that
-the quotient identity holds only up to a unit u with u(0) != 0:
+monomial) pairs to nonzero Fraction coefficients.  The kernel inside is
+fraction-free: `_primitive` scales each input to the primitive integer
+vector on its ray, the reduction loop works with Python ints only, and
+`_rational` gives results their Fraction coefficients back at the
+`ModuleElement` boundary.  Each reduction step scales the working vector
+by a positive integer and then divides it by the gcd of its coefficients,
+so it is always the primitive vector on the ray of the rational
+remainder: coefficients never grow beyond what that vector needs (the
+primitive-remainder idea), and signs are those of rational arithmetic.
+Each normal form computes the order key of a term once (`_TermKeys`).
+
+Division is Mora's variant: a reduction may recruit an earlier partial
+remainder as a new reducer when every divisor of the lead term has larger
+ecart, which is exactly what makes the loop terminate for local orders.
+The price is that the quotient identity holds only up to a unit u with
+u(0) != 0:
 
     u * f  =  sum_i q_i * g_i  +  remainder.
 
@@ -32,7 +43,7 @@ import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ReductionLimitExceeded
@@ -91,6 +102,7 @@ def is_finite(value) -> bool:
 
 Term = tuple[int, Monomial]
 Vec = dict[Term, Fraction]
+IntVec = dict[Term, int]
 
 
 class ModuleElement:
@@ -285,7 +297,7 @@ class _Budget:
 
 class _Entry:
     """A reducer: a basis/generator element or a recruited remainder,
-    stored content-normalized (coprime integer coefficients)."""
+    stored as a primitive integer vector."""
 
     __slots__ = ("vec", "lt", "lc", "ecart")
 
@@ -296,13 +308,32 @@ class _Entry:
         self.ecart = ecart
 
 
-def _vec_axpy(target: Vec, source: Vec, shift: Monomial, factor: Fraction,
+class _TermKeys(dict):
+    """Order keys of the terms one normal form has seen, each computed once.
+
+    Index it by a term to get `keyf(term)`.  Each `_mora_nf` call keeps
+    its own, so it holds only the terms of that reduction and goes with it.
+    """
+
+    __slots__ = ("keyf",)
+
+    def __init__(self, keyf):
+        super().__init__()
+        self.keyf = keyf
+
+    def __missing__(self, term):
+        key = self[term] = self.keyf(term)
+        return key
+
+
+def _vec_axpy(target: Vec, source: Vec, shift: Monomial, factor: int | Fraction,
               bound: int | None = None):
     """target += factor * x^shift * source, in place.
 
-    With `bound`, every product term of total degree >= bound is discarded.
-    Discarded terms lie in m^bound, so this is exact arithmetic on
-    representatives modulo m^bound.
+    The coefficients may be ints (the kernel) or Fractions
+    (`ModuleElement` arithmetic).  With `bound`, every product term of
+    total degree >= bound is discarded.  Discarded terms lie in m^bound,
+    so this is exact arithmetic on representatives modulo m^bound.
     """
     room = None if bound is None else bound - sum(shift)
     for (comp, mono), coeff in source.items():
@@ -316,66 +347,64 @@ def _vec_axpy(target: Vec, source: Vec, shift: Monomial, factor: Fraction,
             del target[key]
 
 
-def _lead_and_maxdeg(vec: Vec, keyf):
-    best_term = None
-    best_key = None
-    maxdeg = 0
-    for term in vec:
-        k = keyf(term)
-        if best_key is None or k > best_key:
-            best_key, best_term = k, term
-        d = sum(term[1])
-        if d > maxdeg:
-            maxdeg = d
-    return best_term, maxdeg
+def _lead_and_maxdeg(vec: IntVec, keyf):
+    return max(vec, key=keyf), max(sum(mono) for _, mono in vec)
 
 
-def _content(vec: Vec) -> Fraction:
-    """Positive rational c such that vec/c has coprime integer coefficients."""
-    num_gcd = 0
-    den_lcm = 1
-    for coeff in vec.values():
-        num_gcd = gcd(num_gcd, coeff.numerator)
-        den_lcm = den_lcm // gcd(den_lcm, coeff.denominator) * coeff.denominator
-    return Fraction(num_gcd, den_lcm)
-
-
-def _normalize(vec: Vec):
-    """Divide a nonzero vec by its content in place.
+def _normalize(vec: IntVec):
+    """Divide an integer vec by the gcd of its coefficients in place.
 
     Keeping every working remainder primitive is what prevents the
-    geometric coefficient swell of naive rational division chains (the
-    primitive-remainder-sequence idea).  No scalar is carried: a weak
-    normal form is only defined up to a unit, and the certificate of
+    geometric coefficient swell of naive division chains (the
+    primitive-remainder-sequence idea).  The gcd is positive, so the
+    vector stays on its ray.  No scalar is carried: a weak normal form
+    is only defined up to a unit, and the certificate of
     `mora_normal_form` is part of the vector being scaled.
     """
-    c = _content(vec)
-    if c != 1:
-        inv = 1 / c
+    g = gcd(*vec.values())
+    if g != 1:
         for key in vec:
-            vec[key] *= inv
+            vec[key] //= g
 
 
-def _make_entry(vec: Vec, keyf) -> _Entry:
-    vec = dict(vec)
+def _primitive(terms: Vec) -> IntVec:
+    """The primitive integer vector on the ray of a rational vector: times
+    the lcm of the denominators, then divided by the gcd."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    vec = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
     _normalize(vec)
+    return vec
+
+
+def _rational(vec: IntVec) -> Vec:
+    """An integer vector back with the Fraction coefficients of a
+    ModuleElement."""
+    return {k: Fraction(c) for k, c in vec.items()}
+
+
+def _make_entry(terms: Vec, keyf) -> _Entry:
+    vec = _primitive(terms)
     lt, maxdeg = _lead_and_maxdeg(vec, keyf)
     return _Entry(vec, lt, vec[lt], maxdeg - sum(lt[1]))
 
 
-def _mora_nf(f_vec: Vec, entries: list[_Entry], keyf, budget: _Budget,
-             bound: int | None = None) -> Vec:
-    """Mora weak normal form of f_vec against `entries`.
+def _mora_nf(f_vec: IntVec, entries: list[_Entry], keyf, budget: _Budget,
+             bound: int | None = None) -> IntVec:
+    """Mora weak normal form of the integer vector f_vec against `entries`.
 
-    The remainder is content-normalized, which is harmless since a weak
-    normal form is only defined up to units anyway.  `bound` works modulo
-    m^bound as in _vec_axpy.
+    A step with a = lc(h) and b = lc(chosen) sets h to (b/d)*h -
+    (a/d)*x^alpha*chosen with d = +-gcd(a, b) signed so that b/d > 0: a
+    positive multiple of the rational step h - (a/b)*x^alpha*chosen, so
+    after `_normalize` it is the same primitive vector.  The remainder is
+    primitive, which is harmless since a weak normal form is only defined
+    up to units anyway.  `bound` works modulo m^bound as in _vec_axpy.
     """
-    h: Vec = dict(f_vec)
+    h: IntVec = dict(f_vec)
     reducers = list(entries)
+    memo = _TermKeys(keyf).__getitem__
     while h:
         _normalize(h)
-        lt_h, maxdeg_h = _lead_and_maxdeg(h, keyf)
+        lt_h, maxdeg_h = _lead_and_maxdeg(h, memo)
         comp_h, mono_h = lt_h
         chosen = None
         for e in reducers:
@@ -386,12 +415,17 @@ def _mora_nf(f_vec: Vec, entries: list[_Entry], keyf, budget: _Budget,
             break
         budget.spend()
         ecart_h = maxdeg_h - sum(mono_h)
+        a, b = h[lt_h], chosen.lc
         if chosen.ecart > ecart_h:
             # Recruit the current remainder; the lead of h strictly
             # decreases from here on.
-            reducers.append(_Entry(dict(h), lt_h, h[lt_h], ecart_h))
-        shift = mono_div(mono_h, chosen.lt[1])
-        _vec_axpy(h, chosen.vec, shift, -h[lt_h] / chosen.lc, bound)
+            reducers.append(_Entry(dict(h), lt_h, a, ecart_h))
+        d = gcd(a, b) if b > 0 else -gcd(a, b)
+        scale = b // d
+        if scale != 1:
+            for key in h:
+                h[key] *= scale
+        _vec_axpy(h, chosen.vec, mono_div(mono_h, chosen.lt[1]), -(a // d), bound)
     return h
 
 
@@ -446,7 +480,8 @@ def mora_normal_form(
     lead was L; it reduces only a later lead L', which is strictly
     smaller than L (each step cancels the lead) and divisible by it, so
     it is used times the monomial L'/L of positive degree and leaves u(0)
-    unchanged.  Content normalization only rescales u(0).
+    unchanged.  Content normalization and the integer steps of `_mora_nf`
+    only rescale u(0) by positive factors.
     """
     ring, rank, s = f.ring, f.rank, len(gens)
     for g in gens:
@@ -459,8 +494,8 @@ def mora_normal_form(
         for i, g in enumerate(gens) if g.terms
     ]
     budget = _Budget(f"in a normal form of rank {rank} against {s} generators")
-    graph = _mora_nf({**f.terms, (rank, zero): _ONE}, entries, keyf, budget)
-    comps = ModuleElement._raw(ring, rank + 1 + s, graph).components
+    graph = _mora_nf(_primitive({**f.terms, (rank, zero): _ONE}), entries, keyf, budget)
+    comps = ModuleElement._raw(ring, rank + 1 + s, _rational(graph)).components
     certificate = MoraCertificate(comps[rank], tuple(-q for q in comps[rank + 1:]))
     return ModuleElement.from_polynomials(comps[:rank]), certificate
 
@@ -472,7 +507,8 @@ class StandardBasis:
     generator reduces to zero against `elements`, and the S-element of
     every critical pair of `elements` does as well.  A basis computed
     with `truncated_at=D` is one of module + m^D * O^rank and refuses
-    membership queries.
+    membership queries.  Normal forms reduce against the integer
+    reducers of the run that computed the basis.
     """
 
     __slots__ = ("ambient", "key", "elements", "lead_terms", "truncated_at", "_entries")
@@ -501,7 +537,8 @@ class StandardBasis:
             f"in a normal form of rank {f.rank} against a standard basis of "
             f"{len(entries)} elements"
         )
-        return ModuleElement._raw(f.ring, f.rank, _mora_nf(f.terms, entries, self.key, budget))
+        rem = _mora_nf(_primitive(f.terms), entries, self.key, budget)
+        return ModuleElement._raw(f.ring, f.rank, _rational(rem))
 
     def contains(self, f: ModuleElement) -> bool:
         return self.normal_form(f).is_zero()
@@ -553,10 +590,9 @@ def standard_basis(
     basis: list[_Entry] = []
     pairs: list[tuple[int, int, int]] = []
 
-    def push(vec: Vec):
+    def push(vec: IntVec):
         nonlocal bound
         # store primitive integer vectors with positive lead coefficient
-        _normalize(vec)
         lt, maxdeg = _lead_and_maxdeg(vec, keyf)
         if vec[lt] < 0:
             vec = {k: -c for k, c in vec.items()}
@@ -575,13 +611,13 @@ def standard_basis(
     for g in module.generators:
         vec = {k: c for k, c in g.terms.items() if bound is None or sum(k[1]) < bound}
         if vec:
-            push(vec)
+            push(_primitive(vec))
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
         gi, gj = basis[i], basis[j]
         lcm = mono_lcm(gi.lt[1], gj.lt[1])
-        s_vec: Vec = {}
+        s_vec: IntVec = {}
         _vec_axpy(s_vec, gi.vec, mono_div(lcm, gi.lt[1]), gj.lc, bound)
         _vec_axpy(s_vec, gj.vec, mono_div(lcm, gj.lt[1]), -gi.lc, bound)
         if not s_vec:
@@ -602,9 +638,11 @@ def standard_basis(
         ):
             kept.append(t)
 
-    elements = [ModuleElement._raw(ring, module.rank, basis[t].vec) for t in kept]
+    elements = [ModuleElement._raw(ring, module.rank, _rational(basis[t].vec)) for t in kept]
     lead_terms = [basis[t].lt for t in kept]
-    return StandardBasis(module, keyf, elements, lead_terms, truncated_at=bound)
+    result = StandardBasis(module, keyf, elements, lead_terms, truncated_at=bound)
+    result._entries = [basis[t] for t in kept]
+    return result
 
 
 def colength(basis: StandardBasis):

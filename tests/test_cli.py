@@ -220,6 +220,33 @@ def test_max_steps_below_one_is_rejected_when_parsed(tmp_path, capsys):
         assert "reduction steps" not in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--seed", "\u0664\u0662"),
+        ("--seed", "4_2"),
+        ("--seed", "\uff14\uff12"),
+        ("--max-steps", "\u0661\u0660\u0660"),
+        ("--max-steps", "1_000"),
+    ],
+)
+def test_integer_flags_take_only_ascii_digits(tmp_path, capsys, flag, value):
+    path = tmp_path / "input.germ"
+    path.write_text(SPHERE, encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["milnor", str(path), flag, value])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: invalid int value: {value!r}" in captured.err
+
+
+def test_negative_seed_flag_is_accepted(tmp_path, capsys):
+    code, out, _ = run(tmp_path, capsys, SPHERE, "milnor", "--machine", "--seed", "-7")
+    assert code == 0
+    assert machine_block(out)["seed"] == "-7"
+
+
 def test_exit_three_on_corrupted_identity(tmp_path, capsys, monkeypatch):
     def corrupted(X, f, seed=42):
         rep = derived_invariants(X, f, seed=seed)

@@ -1,5 +1,5 @@
 """Design rules checked on the source: no global statements, no dangling
-exports, one graph-module elimination."""
+exports, one graph-module elimination, a fraction-free reduction loop."""
 
 import ast
 from pathlib import Path
@@ -60,3 +60,20 @@ def test_one_graph_module_elimination():
         visitor.visit(tree)
         callers += visitor.callers
     assert callers == ["module_ops.submodule_pullback"]
+
+
+def test_reduction_loop_is_fraction_free():
+    # the kernel reduces integer vectors; Fractions only cross its boundary
+    tree = {path.name: parsed for path, parsed in parsed_sources()}["standard_basis.py"]
+    kernel = {"_mora_nf", "_normalize", "_vec_axpy", "standard_basis"}
+    offenders = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in kernel:
+            kernel.remove(node.name)
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Div) or (
+                    isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "Fraction"
+                ):
+                    offenders.append(f"{node.name}:{getattr(inner, 'lineno', node.lineno)}")
+    assert kernel == set()
+    assert offenders == []

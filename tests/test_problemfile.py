@@ -68,6 +68,20 @@ def test_errors_carry_position(text, fragment, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("value", ["\u0664_2", "\u0664\u0662", "4_2", "\uff14\uff12", "+42"])
+def test_seed_takes_only_ascii_digits(value):
+    text = f"[ring]\nvariables = x\n[variety]\ng = x\n[options]\nseed = {value}\n"
+    with pytest.raises(ParseError) as err:
+        parse_problem_file(text)
+    assert f"seed must be an integer, got {value!r}" in str(err.value)
+    assert (err.value.line, err.value.column) == (6, 8)
+
+
+def test_negative_seed():
+    text = "[ring]\nvariables = x\n[variety]\ng = x\n[options]\nseed = -7\n"
+    assert parse_problem_file(text).seed == -7
+
+
 def test_windows_line_endings():
     text = "[ring]\r\nvariables = x, y\r\n[variety]\r\ng1 = x*y\r\n"
     problem = parse_problem_file(text)

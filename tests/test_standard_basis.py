@@ -3,9 +3,11 @@
 import hashlib
 import importlib
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, strategies as st
 
 from germlab import (
     INFINITE,
@@ -158,6 +160,34 @@ def test_nf_rejects_generators_of_another_module():
             mora_normal_form(f, [element(R2, "y^2"), g])
 
 
+# Remainders and certificates recorded with rational division, for
+# generators with negative lead coefficients: an integer reduction step
+# that scaled the working vector by a negative factor would flip the
+# signs of the remainder and the unit.
+PINNED_NORMAL_FORMS = [
+    (("x^2*y + 3*y^3 - x^4",), [("-2*x^2 + y^3",), ("-3*x*y + x^3",)],
+     "(6*y^3 - 2*x^4 + y^4)", "2", ["-y", "0"]),
+    (("x^3",), [("-2*x^2 - 3*x^3",)], "(0)", "2 + 3*x", ["-x"]),
+    (("5*x*y^2 - y^5",), [("-7/2*x*y + 2*x^3",), ("-3*y^2 - x*y^3 + x^4",)],
+     "(80*x^5 - 49*y^5)", "49", ["-70*y - 40*x^2", "0"]),
+    (("y", "x^2"), [("-y + x*y", "x^3")], "(x*y, x^2 + x^3)", "1", ["-1"]),
+    (("3*x*y", "-y^2 + x^3"), [("-2*x", "y"), ("x^2*y", "-5*y^2 + y^3")],
+     "(x^2*y, 10*x^3 + y^3)", "10", ["-15*y", "-1"]),
+    (("2*x*y - y^3", "-x^2"), [("-3*y + x*y^2", "x"), ("-x^2", "-2*x + y^3")],
+     "(-x*y - y^3 + x^2*y^2, 0)", "1", ["-x", "0"]),
+]
+
+
+@pytest.mark.parametrize("f, gens, remainder, unit, quotients", PINNED_NORMAL_FORMS)
+def test_nf_is_pinned_for_negative_lead_coefficients(f, gens, remainder, unit, quotients):
+    f, gens = element(R2, *f), [element(R2, *g) for g in gens]
+    rem, cert = mora_normal_form(f, gens)
+    assert (str(rem), str(cert.unit), [str(q) for q in cert.quotients]) == (
+        remainder, unit, quotients
+    )
+    assert cert.verify(f, gens, rem)
+
+
 # ------------------------------------------------------------- standard bases
 
 
@@ -212,6 +242,38 @@ def test_membership_soundness_random_combinations():
             )
             f = f + g * q
         assert basis.normal_form(f).is_zero()
+
+
+nonzero_scales = st.fractions(
+    min_value=-10**9, max_value=10**9, max_denominator=10**9
+).filter(bool)
+scaled_generators = st.integers(1, 2).flatmap(
+    lambda m: st.lists(
+        st.tuples(st.lists(small_polys, min_size=m, max_size=m), nonzero_scales),
+        min_size=1,
+        max_size=3,
+    )
+)
+
+
+@given(scaled_generators)
+def test_standard_basis_is_invariant_under_scaling_the_generators(case):
+    gens = [ModuleElement.from_polynomials(polys) for polys, _ in case]
+    scaled = [g * c for g, (_, c) in zip(gens, case)]
+    rank = gens[0].rank
+    try:
+        with step_cap(200):
+            basis = standard_basis(Submodule(R2, rank, gens))
+            rescaled = standard_basis(Submodule(R2, rank, scaled))
+    except ReductionLimitExceeded:
+        reject()
+    assert rescaled.elements == basis.elements
+    assert rescaled.lead_terms == basis.lead_terms
+    for el, lt in zip(basis.elements, basis.lead_terms):
+        coeffs = list(el.terms.values())
+        assert all(type(c) is Fraction and c.denominator == 1 for c in coeffs)
+        assert gcd(*(c.numerator for c in coeffs)) == 1
+        assert el.terms[lt] > 0
 
 
 def test_iteration_cap_aborts_with_diagnostic():
