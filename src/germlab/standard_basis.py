@@ -10,7 +10,7 @@ by a positive integer and then divides it by the gcd of its coefficients,
 so it is always the primitive vector on the ray of the rational
 remainder: coefficients never grow beyond what that vector needs (the
 primitive-remainder idea), and signs are those of rational arithmetic.
-Each normal form computes the order key of a term once (`_TermKeys`).
+Each normal form computes the order key of a term once (`functools.cache`).
 
 Division is Mora's variant: a reduction may recruit an earlier partial
 remainder as a new reducer when every divisor of the lead term has larger
@@ -43,6 +43,7 @@ import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -308,24 +309,6 @@ class _Entry:
         self.ecart = ecart
 
 
-class _TermKeys(dict):
-    """Order keys of the terms one normal form has seen, each computed once.
-
-    Index it by a term to get `keyf(term)`.  Each `_mora_nf` call keeps
-    its own, so it holds only the terms of that reduction and goes with it.
-    """
-
-    __slots__ = ("keyf",)
-
-    def __init__(self, keyf):
-        super().__init__()
-        self.keyf = keyf
-
-    def __missing__(self, term):
-        key = self[term] = self.keyf(term)
-        return key
-
-
 def _vec_axpy(target: Vec, source: Vec, shift: Monomial, factor: int | Fraction,
               bound: int | None = None):
     """target += factor * x^shift * source, in place.
@@ -401,7 +384,7 @@ def _mora_nf(f_vec: IntVec, entries: list[_Entry], keyf, budget: _Budget,
     """
     h: IntVec = dict(f_vec)
     reducers = list(entries)
-    memo = _TermKeys(keyf).__getitem__
+    memo = cache(keyf)
     while h:
         _normalize(h)
         lt_h, maxdeg_h = _lead_and_maxdeg(h, memo)
@@ -507,24 +490,19 @@ class StandardBasis:
     generator reduces to zero against `elements`, and the S-element of
     every critical pair of `elements` does as well.  A basis computed
     with `truncated_at=D` is one of module + m^D * O^rank and refuses
-    membership queries.  Normal forms reduce against the integer
-    reducers of the run that computed the basis.
+    membership queries.  Normal forms reduce against `entries`, the
+    integer reducers of the run that computed the basis.
     """
 
     __slots__ = ("ambient", "key", "elements", "lead_terms", "truncated_at", "_entries")
 
-    def __init__(self, ambient, key, elements, lead_terms, truncated_at=None):
+    def __init__(self, ambient, key, elements, lead_terms, truncated_at=None, entries=()):
         self.ambient = ambient
         self.key = key
         self.elements = tuple(elements)
         self.lead_terms = tuple(lead_terms)
         self.truncated_at = truncated_at
-        self._entries = None
-
-    def _reducer_entries(self) -> list[_Entry]:
-        if self._entries is None:
-            self._entries = [_make_entry(e.terms, self.key) for e in self.elements]
-        return self._entries
+        self._entries = list(entries)
 
     def normal_form(self, f: ModuleElement) -> ModuleElement:
         """Weak normal form of f against the basis (no certificate)."""
@@ -532,12 +510,11 @@ class StandardBasis:
             raise ValueError("membership needs an untruncated standard basis")
         if f.ring != self.ambient.ring or f.rank != self.ambient.rank:
             raise ValueError("element does not live in the ambient module")
-        entries = self._reducer_entries()
         budget = _Budget(
             f"in a normal form of rank {f.rank} against a standard basis of "
-            f"{len(entries)} elements"
+            f"{len(self._entries)} elements"
         )
-        rem = _mora_nf(_primitive(f.terms), entries, self.key, budget)
+        rem = _mora_nf(_primitive(f.terms), self._entries, self.key, budget)
         return ModuleElement._raw(f.ring, f.rank, _rational(rem))
 
     def contains(self, f: ModuleElement) -> bool:
@@ -640,9 +617,8 @@ def standard_basis(
 
     elements = [ModuleElement._raw(ring, module.rank, _rational(basis[t].vec)) for t in kept]
     lead_terms = [basis[t].lt for t in kept]
-    result = StandardBasis(module, keyf, elements, lead_terms, truncated_at=bound)
-    result._entries = [basis[t] for t in kept]
-    return result
+    entries = [basis[t] for t in kept]
+    return StandardBasis(module, keyf, elements, lead_terms, truncated_at=bound, entries=entries)
 
 
 def colength(basis: StandardBasis):
