@@ -11,6 +11,7 @@ connecting them, re-checking every identity exactly.
 from .derlog import VarietyGerm, df_theta, mu_BR, mu_BR_rel, tau_BR
 from .errors import (
     ContainmentViolation,
+    DegreeLimitExceeded,
     GenericityExhausted,
     GermlabError,
     ICISViolation,
@@ -63,6 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "INFINITE",
     "ContainmentViolation",
+    "DegreeLimitExceeded",
     "GenericityExhausted",
     "GermlabError",
     "ICISViolation",

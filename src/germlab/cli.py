@@ -19,6 +19,7 @@ import sys
 from .derlog import VarietyGerm, mu_BR, mu_BR_rel, tau_BR
 from .errors import (
     ContainmentViolation,
+    DegreeLimitExceeded,
     GenericityExhausted,
     ICISViolation,
     InfiniteColength,
@@ -46,6 +47,7 @@ _PRECONDITION_ERRORS = (
     GenericityExhausted,
     ContainmentViolation,
     ReductionLimitExceeded,
+    DegreeLimitExceeded,
 )
 
 

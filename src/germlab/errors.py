@@ -47,3 +47,9 @@ class ReductionLimitExceeded(GermlabError):
     Legitimate runs at desk scale stay far below the cap, so hitting it
     almost always indicates a runaway input or an implementation bug.
     """
+
+
+class DegreeLimitExceeded(GermlabError):
+    """A term of a standard-basis computation reached the degree limit of
+    the kernel's packed term representation; raised instead of letting a
+    packed field wrap around."""

@@ -6,9 +6,12 @@ the rightmost nonzero entry of a-b is negative.  It is a local order (1
 beats every variable) compatible with multiplication.
 
 `term_key` extends it to (component, monomial) pairs as a key function
-whose lexicographic comparison is the module order.  Lead terms are then
-just `max(..., key=...)` over term dicts, and the key is injective, so
-maxima are unique and all computations are deterministic.
+whose lexicographic comparison is the module order.  The key is
+injective, so maxima are unique and all computations are deterministic.
+It is the specification of the order: the standard-basis kernel packs
+each term into one int whose integer order is the reverse of this one
+(`standard_basis._Packing`), and the tests check the packing against
+`term_key` on random terms.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 Monomial = tuple[int, ...]
@@ -23,21 +24,7 @@ IDENTIFIER = r"[A-Za-z][A-Za-z0-9_]*"
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """Quotient a/b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True iff a divides b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 class RingSpec:

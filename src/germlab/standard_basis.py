@@ -10,7 +10,32 @@ by a positive integer and then divides it by the gcd of its coefficients,
 so it is always the primitive vector on the ray of the rational
 remainder: coefficients never grow beyond what that vector needs (the
 primitive-remainder idea), and signs are those of rational arithmetic.
-Each normal form computes the order key of a term once (`functools.cache`).
+
+Inside the kernel a term (c, a) of O^rank over n variables is also one
+int (`_Packing`, after the packed exponent vectors of Bachmann and
+Schoenemann, "Monomial representations for Groebner bases computations",
+ISSAC 1998).  From the low bits up it holds fixed-width fields
+
+    rank-1-c | c | a_1 | ... | a_n | |a| | flag
+
+with flag = 1 when 0 < block <= c.  Integer comparison reads the fields
+from the top: a trailing-block term, a larger degree, then (degrees
+equal) a larger exponent of a later variable, then a larger component
+each make the int larger, and each makes the term smaller under
+`orders.term_key(block)`.  So a smaller int is a larger term: the lead
+term of a vector is `min(vec)`, and with no flags its largest degree is
+`max(vec) >> deg_shift`.  Multiplying a term by x^alpha adds the packed
+alpha (exponent and degree fields only); dividing it by a lead of the
+same component is one subtraction.  The top bit of every field is a
+guard that stays 0, so with G the sum of the guards, lt_g divides lt_h
+in the same component iff ((lt_h | G) - lt_g) & G == G: each field
+subtracts without borrowing from the next and keeps its guard exactly
+when lt_h's field is at least lt_g's, and the two component fields are
+both at least each other's only when the components agree.  A field
+holds values below DEGREE_LIMIT = 2^31; every exponent is at most the
+degree, so the degree is checked where it is computed anyway (when a
+term is packed and at each normal-form step) and a term at the limit
+raises DegreeLimitExceeded instead of wrapping into the next field.
 
 Division is Mora's variant: a reduction may recruit an earlier partial
 remainder as a new reducer when every divisor of the lead term has larger
@@ -43,25 +68,18 @@ import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import ReductionLimitExceeded
-from .orders import term_key
-from .ring import (
-    Monomial,
-    Polynomial,
-    RingSpec,
-    _as_fraction,
-    _as_monomial,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-)
+from .errors import DegreeLimitExceeded, ReductionLimitExceeded
+from .ring import Monomial, Polynomial, RingSpec, _as_fraction, _as_monomial
 
 DEFAULT_MAX_STEPS = 1_000_000
+
+_FIELD_BITS = 32
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_GUARD = 1 << (_FIELD_BITS - 1)
+DEGREE_LIMIT = _GUARD
 
 _ONE = Fraction(1)
 
@@ -103,7 +121,7 @@ def is_finite(value) -> bool:
 
 Term = tuple[int, Monomial]
 Vec = dict[Term, Fraction]
-IntVec = dict[Term, int]
+IntVec = dict[int, int]
 
 
 class ModuleElement:
@@ -180,9 +198,9 @@ class ModuleElement:
 
     def __add__(self, other: ModuleElement) -> ModuleElement:
         self._check(other)
-        out = dict(self.terms)
-        _vec_axpy(out, other.terms, self.ring.zero_monomial(), _ONE)
-        return ModuleElement._raw(self.ring, self.rank, out)
+        return ModuleElement.from_polynomials(
+            [a + b for a, b in zip(self.components, other.components)]
+        )
 
     def __sub__(self, other: ModuleElement) -> ModuleElement:
         return self + (-other)
@@ -197,10 +215,7 @@ class ModuleElement:
         if isinstance(scalar, Polynomial):
             if scalar.ring != self.ring:
                 raise ValueError("mixed rings")
-            out: Vec = {}
-            for smono, scoeff in scalar.terms.items():
-                _vec_axpy(out, self.terms, smono, scoeff)
-            return ModuleElement._raw(self.ring, self.rank, out)
+            return ModuleElement.from_polynomials([c * scalar for c in self.components])
         factor = _as_fraction(scalar)
         if not factor:
             return ModuleElement.zero(self.ring, self.rank)
@@ -296,9 +311,73 @@ class _Budget:
             )
 
 
+def _degree_limit(degree: int) -> DegreeLimitExceeded:
+    return DegreeLimitExceeded(
+        f"a term of degree {degree} reaches the kernel's degree limit {DEGREE_LIMIT}"
+    )
+
+
+class _Packing:
+    """The packed terms of one run: each term (c, a) of O^rank over n
+    variables as one int, laid out as the module docstring describes.
+
+    Called on a term it gives -pack(c, a), a key of the module order
+    `orders.term_key(block)` on the terms of O^rank.
+    """
+
+    __slots__ = ("shifts", "units", "deg_shift", "low", "guards", "blocked", "_heads")
+
+    def __init__(self, n: int, rank: int, block: int):
+        if rank > DEGREE_LIMIT:
+            raise DegreeLimitExceeded(f"a module of rank {rank} exceeds the kernel's limit")
+        self.shifts = tuple(_FIELD_BITS * (2 + i) for i in range(n))
+        self.deg_shift = _FIELD_BITS * (n + 2)
+        flag = 1 << (self.deg_shift + _FIELD_BITS)
+        self.low = flag - 1
+        self.guards = sum(_GUARD << (_FIELD_BITS * k) for k in range(n + 4))
+        self.blocked = block > 0
+        # x_i packed: its exponent field and the degree field both 1
+        self.units = tuple((1 << s) | (1 << self.deg_shift) for s in self.shifts)
+        self._heads = tuple(
+            (rank - 1 - c) | (c << _FIELD_BITS) | (flag if 0 < block <= c else 0)
+            for c in range(rank)
+        )
+
+    def pack(self, comp: int, mono: Monomial) -> int:
+        deg = sum(mono)
+        if deg >= DEGREE_LIMIT:
+            raise _degree_limit(deg)
+        packed = self._heads[comp] | deg << self.deg_shift
+        for e, s in zip(mono, self.shifts):
+            packed |= e << s
+        return packed
+
+    def unpack(self, packed: int) -> Term:
+        return (packed >> _FIELD_BITS) & _FIELD_MASK, tuple(
+            (packed >> s) & _FIELD_MASK for s in self.shifts
+        )
+
+    def degree(self, packed: int) -> int:
+        return (packed >> self.deg_shift) & _FIELD_MASK
+
+    def max_degree(self, vec: IntVec) -> int:
+        """The largest degree of a term of vec, checked against the limit:
+        a field that reached its guard bit reads as at least the limit."""
+        if self.blocked:
+            top = max(map(self.low.__and__, vec)) >> self.deg_shift
+        else:
+            top = max(vec) >> self.deg_shift
+        if top >= DEGREE_LIMIT:
+            raise _degree_limit(top)
+        return top
+
+    def __call__(self, term: Term) -> int:
+        return -self.pack(*term)
+
+
 class _Entry:
     """A reducer: a basis/generator element or a recruited remainder,
-    stored as a primitive integer vector."""
+    stored as a primitive integer vector on packed terms."""
 
     __slots__ = ("vec", "lt", "lc", "ecart")
 
@@ -309,29 +388,26 @@ class _Entry:
         self.ecart = ecart
 
 
-def _vec_axpy(target: Vec, source: Vec, shift: Monomial, factor: int | Fraction,
-              bound: int | None = None):
-    """target += factor * x^shift * source, in place.
+def _vec_axpy(target: IntVec, source: IntVec, shift: int, factor: int,
+              cut: int | None, low: int):
+    """target += factor * x^shift * source, in place, on packed terms:
+    `shift` is a packed monomial, and adding it multiplies a term by it.
 
-    The coefficients may be ints (the kernel) or Fractions
-    (`ModuleElement` arithmetic).  With `bound`, every product term of
-    total degree >= bound is discarded.  Discarded terms lie in m^bound,
-    so this is exact arithmetic on representatives modulo m^bound.
+    With `cut` = bound << deg_shift, every product term of degree >= bound
+    is discarded: with no block flag that is exactly a term >= cut, and
+    `low` masks the flag off the terms that pass that first compare.
+    Discarded terms lie in m^bound, so this is exact arithmetic on
+    representatives modulo m^bound.
     """
-    room = None if bound is None else bound - sum(shift)
-    for (comp, mono), coeff in source.items():
-        if room is not None and sum(mono) >= room:
+    for term, coeff in source.items():
+        key = term + shift
+        if cut is not None and key >= cut and key & low >= cut:
             continue
-        key = (comp, mono_mul(mono, shift))
         val = target.get(key, 0) + factor * coeff
         if val:
             target[key] = val
         else:
             del target[key]
-
-
-def _lead_and_maxdeg(vec: IntVec, keyf):
-    return max(vec, key=keyf), max(sum(mono) for _, mono in vec)
 
 
 def _normalize(vec: IntVec):
@@ -350,29 +426,33 @@ def _normalize(vec: IntVec):
             vec[key] //= g
 
 
-def _primitive(terms: Vec) -> IntVec:
-    """The primitive integer vector on the ray of a rational vector: times
-    the lcm of the denominators, then divided by the gcd."""
+def _primitive(terms: Vec, packing: _Packing) -> IntVec:
+    """The primitive integer vector on the ray of a rational vector, on
+    packed terms: times the lcm of the denominators, then divided by the
+    gcd."""
     den = lcm(*(c.denominator for c in terms.values()))
-    vec = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+    vec = {
+        packing.pack(comp, mono): c.numerator * (den // c.denominator)
+        for (comp, mono), c in terms.items()
+    }
     _normalize(vec)
     return vec
 
 
-def _rational(vec: IntVec) -> Vec:
-    """An integer vector back with the Fraction coefficients of a
-    ModuleElement."""
-    return {k: Fraction(c) for k, c in vec.items()}
+def _rational(vec: IntVec, packing: _Packing) -> Vec:
+    """An integer vector back on (component, monomial) terms with the
+    Fraction coefficients of a ModuleElement."""
+    return {packing.unpack(t): Fraction(c) for t, c in vec.items()}
 
 
-def _make_entry(terms: Vec, keyf) -> _Entry:
-    vec = _primitive(terms)
-    lt, maxdeg = _lead_and_maxdeg(vec, keyf)
-    return _Entry(vec, lt, vec[lt], maxdeg - sum(lt[1]))
+def _make_entry(terms: Vec, packing: _Packing) -> _Entry:
+    vec = _primitive(terms, packing)
+    lt = min(vec)
+    return _Entry(vec, lt, vec[lt], packing.max_degree(vec) - packing.degree(lt))
 
 
-def _mora_nf(f_vec: IntVec, entries: list[_Entry], keyf, budget: _Budget,
-             bound: int | None = None) -> IntVec:
+def _mora_nf(f_vec: IntVec, entries: list[_Entry], packing: _Packing, budget: _Budget,
+             cut: int | None = None) -> IntVec:
     """Mora weak normal form of the integer vector f_vec against `entries`.
 
     A step with a = lc(h) and b = lc(chosen) sets h to (b/d)*h -
@@ -380,24 +460,23 @@ def _mora_nf(f_vec: IntVec, entries: list[_Entry], keyf, budget: _Budget,
     positive multiple of the rational step h - (a/b)*x^alpha*chosen, so
     after `_normalize` it is the same primitive vector.  The remainder is
     primitive, which is harmless since a weak normal form is only defined
-    up to units anyway.  `bound` works modulo m^bound as in _vec_axpy.
+    up to units anyway.  `cut` works modulo m^bound as in _vec_axpy.
     """
     h: IntVec = dict(f_vec)
     reducers = list(entries)
-    memo = cache(keyf)
+    guards = packing.guards
     while h:
         _normalize(h)
-        lt_h, maxdeg_h = _lead_and_maxdeg(h, memo)
-        comp_h, mono_h = lt_h
+        lt_h = min(h)
+        ecart_h = packing.max_degree(h) - packing.degree(lt_h)
+        probe = lt_h | guards
         chosen = None
         for e in reducers:
-            if e.lt[0] == comp_h and mono_divides(e.lt[1], mono_h):
-                if chosen is None or e.ecart < chosen.ecart:
-                    chosen = e
+            if (probe - e.lt) & guards == guards and (chosen is None or e.ecart < chosen.ecart):
+                chosen = e
         if chosen is None:
             break
         budget.spend()
-        ecart_h = maxdeg_h - sum(mono_h)
         a, b = h[lt_h], chosen.lc
         if chosen.ecart > ecart_h:
             # Recruit the current remainder; the lead of h strictly
@@ -408,7 +487,7 @@ def _mora_nf(f_vec: IntVec, entries: list[_Entry], keyf, budget: _Budget,
         if scale != 1:
             for key in h:
                 h[key] *= scale
-        _vec_axpy(h, chosen.vec, mono_div(mono_h, chosen.lt[1]), -(a // d), bound)
+        _vec_axpy(h, chosen.vec, lt_h - chosen.lt, -(a // d), cut, packing.low)
     return h
 
 
@@ -471,14 +550,14 @@ def mora_normal_form(
         if g.ring != ring or g.rank != rank:
             raise ValueError("generators live in different modules")
     zero = ring.zero_monomial()
-    keyf = term_key(rank)
+    packing = _Packing(ring.n, rank + 1 + s, rank)
     entries = [
-        _make_entry({**g.terms, (rank + 1 + i, zero): _ONE}, keyf)
+        _make_entry({**g.terms, (rank + 1 + i, zero): _ONE}, packing)
         for i, g in enumerate(gens) if g.terms
     ]
     budget = _Budget(f"in a normal form of rank {rank} against {s} generators")
-    graph = _mora_nf(_primitive({**f.terms, (rank, zero): _ONE}), entries, keyf, budget)
-    comps = ModuleElement._raw(ring, rank + 1 + s, _rational(graph)).components
+    graph = _mora_nf(_primitive({**f.terms, (rank, zero): _ONE}, packing), entries, packing, budget)
+    comps = ModuleElement._raw(ring, rank + 1 + s, _rational(graph, packing)).components
     certificate = MoraCertificate(comps[rank], tuple(-q for q in comps[rank + 1:]))
     return ModuleElement.from_polynomials(comps[:rank]), certificate
 
@@ -486,12 +565,14 @@ def mora_normal_form(
 class StandardBasis:
     """A standard basis of a submodule under a fixed module order.
 
-    `key` is the order's term key (`orders.term_key`).  Every input
-    generator reduces to zero against `elements`, and the S-element of
-    every critical pair of `elements` does as well.  A basis computed
-    with `truncated_at=D` is one of module + m^D * O^rank and refuses
-    membership queries.  Normal forms reduce against `entries`, the
-    integer reducers of the run that computed the basis.
+    `key` is a term key of the order (larger key, larger term; see
+    `orders.term_key`).  A basis computed by `standard_basis` carries its
+    run's `_Packing` there, which also packs the terms of its normal
+    forms.  Every input generator reduces to zero against `elements`, and
+    the S-element of every critical pair of `elements` does as well.  A
+    basis computed with `truncated_at=D` is one of module + m^D * O^rank
+    and refuses membership queries.  Normal forms reduce against
+    `entries`, the integer reducers of the run that computed the basis.
     """
 
     __slots__ = ("ambient", "key", "elements", "lead_terms", "truncated_at", "_entries")
@@ -514,8 +595,9 @@ class StandardBasis:
             f"in a normal form of rank {f.rank} against a standard basis of "
             f"{len(self._entries)} elements"
         )
-        rem = _mora_nf(_primitive(f.terms), self._entries, self.key, budget)
-        return ModuleElement._raw(f.ring, f.rank, _rational(rem))
+        packing = self.key
+        rem = _mora_nf(_primitive(f.terms, packing), self._entries, packing, budget)
+        return ModuleElement._raw(f.ring, f.rank, _rational(rem, packing))
 
     def contains(self, f: ModuleElement) -> bool:
         return self.normal_form(f).is_zero()
@@ -553,72 +635,76 @@ def standard_basis(
     their bound.  `truncated_at` records the bound the run ended at.
     Exact runs (`truncate_degree=None`) keep every term.
     """
-    ring = module.ring
-    keyf = term_key(block)
-    where = (
-        f"in a standard basis of rank {module.rank} with {len(module.generators)} generators"
-    )
+    ring, rank = module.ring, module.rank
+    packing = _Packing(ring.n, rank, block)
+    where = f"in a standard basis of rank {rank} with {len(module.generators)} generators"
     if truncate_degree is not None:
         where += f", truncated at degree {truncate_degree}"
     budget = _Budget(where)
     bound = truncate_degree
-    corner = _Corner(module.rank, ring.n) if bound is not None and block == 0 else None
+    cut = None if bound is None else bound << packing.deg_shift
+    corner = _Corner(packing, rank) if bound is not None and block == 0 else None
 
     basis: list[_Entry] = []
+    lead_terms: list[Term] = []
     pairs: list[tuple[int, int, int]] = []
 
     def push(vec: IntVec):
-        nonlocal bound
+        nonlocal bound, cut
         # store primitive integer vectors with positive lead coefficient
-        lt, maxdeg = _lead_and_maxdeg(vec, keyf)
+        lt = min(vec)
         if vec[lt] < 0:
             vec = {k: -c for k, c in vec.items()}
         idx = len(basis)
-        basis.append(_Entry(vec, lt, vec[lt], maxdeg - sum(lt[1])))
-        for other in range(idx):
-            o_lt = basis[other].lt
-            if o_lt[0] == lt[0]:
-                lcm = mono_lcm(o_lt[1], lt[1])
-                heapq.heappush(pairs, (sum(lcm), other, idx))
+        basis.append(_Entry(vec, lt, vec[lt], packing.max_degree(vec) - packing.degree(lt)))
+        comp, mono = term = packing.unpack(lt)
+        for other, (o_comp, o_mono) in enumerate(lead_terms):
+            if o_comp == comp:
+                heapq.heappush(pairs, (sum(map(max, o_mono, mono)), other, idx))
+        lead_terms.append(term)
         if corner is not None:
-            top = corner.add(lt, bound)
+            top = corner.add(term, lt, bound)
             if top is not None and top + 2 <= bound:
                 bound = top + 1
+                cut = bound << packing.deg_shift
 
     for g in module.generators:
         vec = {k: c for k, c in g.terms.items() if bound is None or sum(k[1]) < bound}
         if vec:
-            push(_primitive(vec))
+            push(_primitive(vec, packing))
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
         gi, gj = basis[i], basis[j]
-        lcm = mono_lcm(gi.lt[1], gj.lt[1])
+        comp, mono_i = lead_terms[i]
+        lcm_term = packing.pack(comp, tuple(map(max, mono_i, lead_terms[j][1])))
         s_vec: IntVec = {}
-        _vec_axpy(s_vec, gi.vec, mono_div(lcm, gi.lt[1]), gj.lc, bound)
-        _vec_axpy(s_vec, gj.vec, mono_div(lcm, gj.lt[1]), -gi.lc, bound)
+        _vec_axpy(s_vec, gi.vec, lcm_term - gi.lt, gj.lc, cut, packing.low)
+        _vec_axpy(s_vec, gj.vec, lcm_term - gj.lt, -gi.lc, cut, packing.low)
         if not s_vec:
             continue
-        rem = _mora_nf(s_vec, basis, keyf, budget, bound)
+        rem = _mora_nf(s_vec, basis, packing, budget, cut)
         if rem:
             push(rem)
 
     # Minimalize: keep only elements whose lead term is not divisible by the
     # lead term of another kept element.  Processing by ascending lead degree
-    # guarantees divisors are seen first.
-    ordering = sorted(range(len(basis)), key=lambda t: keyf(basis[t].lt), reverse=True)
+    # (ascending packed leads) guarantees divisors are seen first.
+    guards = packing.guards
     kept: list[int] = []
-    for t in ordering:
-        lt = basis[t].lt
-        if not any(
-            basis[s].lt[0] == lt[0] and mono_divides(basis[s].lt[1], lt[1]) for s in kept
-        ):
+    for lt, t in sorted((e.lt, t) for t, e in enumerate(basis)):
+        probe = lt | guards
+        if not any((probe - basis[s].lt) & guards == guards for s in kept):
             kept.append(t)
 
-    elements = [ModuleElement._raw(ring, module.rank, _rational(basis[t].vec)) for t in kept]
-    lead_terms = [basis[t].lt for t in kept]
-    entries = [basis[t] for t in kept]
-    return StandardBasis(module, keyf, elements, lead_terms, truncated_at=bound, entries=entries)
+    return StandardBasis(
+        module,
+        packing,
+        [ModuleElement._raw(ring, rank, _rational(basis[t].vec, packing)) for t in kept],
+        [lead_terms[t] for t in kept],
+        truncated_at=bound,
+        entries=[basis[t] for t in kept],
+    )
 
 
 def colength(basis: StandardBasis):
@@ -628,15 +714,17 @@ def colength(basis: StandardBasis):
     variable among its lead terms, which is exactly when the quotient has
     infinite vector-space dimension.
     """
-    n = basis.ambient.ring.n
-    by_component: list[list[Monomial]] = [[] for _ in range(basis.ambient.rank)]
+    n, rank = basis.ambient.ring.n, basis.ambient.rank
+    packing = _Packing(n, rank, 0)
+    by_component: list[list[Monomial]] = [[] for _ in range(rank)]
     for comp, mono in basis.lead_terms:
         by_component[comp].append(mono)
     total = 0
-    for leads in by_component:
+    for comp, leads in enumerate(by_component):
         if _missing_pure_powers(leads, n):
             return INFINITE
-        total += sum(1 for _ in _standard_monomials(leads, n))
+        packed = [packing.pack(comp, mono) for mono in leads]
+        total += sum(1 for _ in _standard_monomials(packed, comp, packing))
     return total
 
 
@@ -650,28 +738,36 @@ def _missing_pure_powers(leads: list[Monomial], n: int) -> set[int]:
     return missing
 
 
-def _standard_monomials(leads: list[Monomial], n: int, cap: int | None = None):
-    """Yield the degree of every monomial outside the leads, of degree
+def _standard_monomials(leads: list[int], comp: int, packing: _Packing,
+                        cap: int | None = None):
+    """Yield the degree of every monomial of component `comp` outside the
+    packed leads of that component (under a `block=0` packing), of degree
     below `cap` when one is given.
 
     The walk starts at 1 and reaches each monomial a from a - e_j, where j
-    is the last nonzero index of a; since the staircase is closed under
-    division, that finds all of it while testing at most n candidates per
-    monomial yielded.  Without `cap` it ends only when the leads contain a
-    pure power of every variable.
+    is the last nonzero index of a, by adding the packed x_j; since the
+    staircase is closed under division, that finds all of it while testing
+    at most n candidates per monomial yielded.  Without `cap` it ends only
+    when the leads contain a pure power of every variable, and a staircase
+    that reaches the degree limit raises instead of wrapping.
     """
-    one = (0,) * n
-    if cap == 0 or any(not any(l) for l in leads):
+    one = packing.pack(comp, (0,) * len(packing.units))
+    if cap == 0 or one in leads:
         return
+    guards, units = packing.guards, packing.units
+    top = DEGREE_LIMIT if cap is None else cap
     stack = [(one, 0, 0)]
     while stack:
         mono, last, deg = stack.pop()
         yield deg
-        if cap is not None and deg + 1 >= cap:
+        if deg + 1 >= top:
+            if cap is None:
+                raise DegreeLimitExceeded(f"a staircase reaches the degree limit {DEGREE_LIMIT}")
             continue
-        for j in range(last, n):
-            cand = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
-            if not any(mono_divides(l, cand) for l in leads):
+        for j in range(last, len(units)):
+            cand = mono + units[j]
+            probe = cand | guards
+            if not any((probe - l) & guards == guards for l in leads):
                 stack.append((cand, j, deg + 1))
 
 
@@ -687,23 +783,27 @@ class _Corner:
     degree cap - 1, and no corner exists.
     """
 
-    __slots__ = ("n", "leads", "tops")
+    __slots__ = ("packing", "leads", "missing", "tops")
 
-    def __init__(self, rank: int, n: int):
-        self.n = n
-        self.leads: list[list[Monomial]] = [[] for _ in range(rank)]
+    def __init__(self, packing: _Packing, rank: int):
+        n = len(packing.units)
+        self.packing = packing
+        self.leads: list[list[int]] = [[] for _ in range(rank)]
+        self.missing: list[set[int]] = [set(range(n)) for _ in range(rank)]
         self.tops: list[int | None] = [None] * rank
 
-    def add(self, term: Term, cap: int) -> int | None:
-        """Record a new lead term; return the top degree of the staircase
-        below `cap`, the run's current bound, or None while some
-        component still lacks a pure power."""
+    def add(self, term: Term, packed: int, cap: int) -> int | None:
+        """Record a new lead term, given also packed; return the top degree
+        of the staircase below `cap`, the run's current bound, or None
+        while some component still lacks a pure power."""
         comp, mono = term
         leads = self.leads[comp]
-        leads.append(mono)
-        if self.tops[comp] is None and _missing_pure_powers(leads, self.n):
+        leads.append(packed)
+        missing = self.missing[comp]
+        missing &= _missing_pure_powers([mono], len(mono))
+        if missing:
             return None
-        self.tops[comp] = max(_standard_monomials(leads, self.n, cap), default=0)
+        self.tops[comp] = max(_standard_monomials(leads, comp, self.packing, cap), default=0)
         if None in self.tops:
             return None
         return max(self.tops)

@@ -208,6 +208,13 @@ def test_max_steps_cap_does_not_leak_into_later_calls(tmp_path, capsys):
     assert machine_block(out)["milnor"] == "11"
 
 
+def test_degree_at_the_kernel_limit_exits_two(tmp_path, capsys):
+    huge = "[ring]\nvariables = x, y\n[variety]\ng1 = x^2147483648 + y\n"
+    code, out, err = run(tmp_path, capsys, huge, "std", "--machine")
+    assert (code, out) == (2, "")
+    assert "degree limit" in err
+
+
 def test_max_steps_below_one_is_rejected_when_parsed(tmp_path, capsys):
     path = tmp_path / "input.germ"
     path.write_text(SPHERE, encoding="utf-8")

@@ -1,5 +1,6 @@
 """Design rules checked on the source: no global statements, no dangling
-exports, one graph-module elimination, a fraction-free reduction loop."""
+exports, one graph-module elimination, a fraction-free reduction loop on
+packed terms."""
 
 import ast
 from pathlib import Path
@@ -75,5 +76,34 @@ def test_reduction_loop_is_fraction_free():
                     isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "Fraction"
                 ):
                     offenders.append(f"{node.name}:{getattr(inner, 'lineno', node.lineno)}")
+    assert kernel == set()
+    assert offenders == []
+
+
+def _called_name(call: ast.Call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_reduction_loop_orders_and_divides_packed_terms():
+    # terms are packed ints: the lead is min(vec), a shift is an addition and
+    # divisibility a guard-bit test, so the kernel needs no order key, no
+    # memo of one and no tuple monomial helper
+    tree = {path.name: parsed for path, parsed in parsed_sources()}["standard_basis.py"]
+    kernel = {"_mora_nf", "_vec_axpy", "standard_basis"}
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in kernel:
+            kernel.remove(node.name)
+            for inner in ast.walk(node):
+                if not isinstance(inner, ast.Call):
+                    continue
+                name = _called_name(inner) or ""
+                if (
+                    name in {"term_key", "keyf", "cache", "lru_cache"}
+                    or name.startswith("mono_")
+                    or any(kw.arg == "key" for kw in inner.keywords)
+                ):
+                    offenders.append(f"{node.name}:{inner.lineno}:{name}")
     assert kernel == set()
     assert offenders == []

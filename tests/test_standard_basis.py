@@ -11,6 +11,7 @@ from hypothesis import given, reject, strategies as st
 
 from germlab import (
     INFINITE,
+    DegreeLimitExceeded,
     ModuleElement,
     Polynomial,
     ReductionLimitExceeded,
@@ -32,6 +33,7 @@ from germlab import (
     tau_BR,
 )
 from germlab.orders import term_key
+from germlab.standard_basis import DEGREE_LIMIT, _Packing
 
 import _oracle as oracle
 import germs
@@ -334,6 +336,67 @@ def test_step_limit_error_names_what_ran_out():
         f"aborted after 0 reduction steps in a normal form of rank 1 against a standard "
         f"basis of {len(basis.elements)} elements;" in str(info.value)
     )
+
+
+# ------------------------------------------------------------- packed terms
+
+
+@st.composite
+def packed_terms(draw):
+    # small exponents collide and tie often; large ones reach far into the
+    # fields, with sums of two still below the limit for n <= 6
+    n = draw(st.integers(1, 6))
+    rank = draw(st.integers(1, 4))
+    block = draw(st.integers(0, rank - 1))
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, 2**27))
+    mono = st.tuples(*[exponent] * n)
+    terms = draw(st.lists(st.tuples(st.integers(0, rank - 1), mono), min_size=2, max_size=6))
+    return _Packing(n, rank, block), term_key(block), terms, draw(mono)
+
+
+@given(packed_terms())
+def test_packed_terms_order_shift_and_divide_as_the_tuples_do(case):
+    packing, key, terms, b = case
+    shift = sum(e * unit for e, unit in zip(b, packing.units))
+    for c, a in terms:
+        t = packing.pack(c, a)
+        assert packing.unpack(t) == (c, a)
+        a_b = tuple(x + y for x, y in zip(a, b))
+        assert t + shift == packing.pack(c, a_b)
+        # a quotient of packed terms of one component multiplies any term
+        for c2, a2 in terms:
+            a2_b = tuple(x + y for x, y in zip(a2, b))
+            assert packing.pack(c2, a2) + packing.pack(c, a_b) - t == packing.pack(c2, a2_b)
+    # the packing is a term key of the same order
+    assert sorted(terms, key=packing) == sorted(terms, key=key)
+    guards = packing.guards
+    for s, t in ((s, t) for s in terms for t in terms):
+        ps, pt = packing.pack(*s), packing.pack(*t)
+        # a smaller int is a larger term
+        assert (ps < pt) == (key(s) > key(t))
+        assert (ps == pt) == (s == t)
+        divides = s[0] == t[0] and all(x <= y for x, y in zip(s[1], t[1]))
+        assert (((pt | guards) - ps) & guards == guards) == divides
+
+
+def test_a_degree_at_the_field_limit_raises_instead_of_wrapping():
+    half = DEGREE_LIMIT // 2
+    at_limit = Polynomial(R2, {(half, half): 1, (1, 0): 1})
+    with pytest.raises(DegreeLimitExceeded):
+        standard_basis(Submodule.ideal(R2, [at_limit]))
+    # inputs below the limit whose reduction reaches it: the S-element
+    # z*(x + y^(L-1)) - x*z of degree L, and the step x*y - y*(x + y^(L-1))
+    # of a normal form
+    below = Polynomial(R3, {(1, 0, 0): 1, (0, DEGREE_LIMIT - 1, 0): 1})
+    xz = Polynomial(R3, {(1, 0, 1): 1})
+    with pytest.raises(DegreeLimitExceeded):
+        standard_basis(Submodule.ideal(R3, [below, xz]))
+    xy = ModuleElement.from_polynomial(Polynomial(R3, {(1, 1, 0): 1}))
+    with pytest.raises(DegreeLimitExceeded):
+        mora_normal_form(xy, [ModuleElement.from_polynomial(below)])
+    # one below the limit is still computed
+    basis = standard_basis(Submodule.ideal(R2, [Polynomial(R2, {(0, DEGREE_LIMIT - 1): 1})]))
+    assert basis.lead_terms == ((0, (0, DEGREE_LIMIT - 1)),)
 
 
 # ------------------------------------------------------------------ colength
