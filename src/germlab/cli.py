@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .derlog import VarietyGerm, mu_BR, mu_BR_rel, tau_BR
 from .errors import (
@@ -33,7 +34,6 @@ from .invariants import (
     milnor_hypersurface,
     milnor_icis,
     tjurina_icis,
-    verify_icis,
 )
 from .problemfile import INTEGER, ProblemFile, parse_problem_file
 from .standard_basis import colength, krull_dimension, step_cap
@@ -93,14 +93,13 @@ def _run_invariants(problem: ProblemFile, seed: int):
         ]
         return rows, checks
     if problem.function is None:
-        result = verify_icis(problem.ring, X.generators)
-        if not result.ok:
-            raise ICISViolation(result.reason)
+        # tjurina_icis verifies X: its dimension, then isolatedness by a finite tau
+        tau_X = tjurina_icis(X)
         rows += [
             ("k", X.k),
-            ("d", result.dim),
+            ("d", X.dimension),
             ("mu_X", milnor_icis(X.generators)),
-            ("tau_X", tjurina_icis(X)),
+            ("tau_X", tau_X),
         ]
         return rows, []
     report = derived_invariants(X, problem.function, seed=seed)
@@ -220,7 +219,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; it holds no request state."""
     parser = argparse.ArgumentParser(
         prog="germlab",
         description="Local invariants of isolated complete intersection singularities.",
@@ -239,7 +240,11 @@ def main(argv=None) -> int:
             default=None,
             help="reduction-step cap per standard-basis run or normal form",
         )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.max_steps is None:
         return _run(args)
     with step_cap(args.max_steps):

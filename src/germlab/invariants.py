@@ -26,6 +26,18 @@ restricted generator that vanishes, or a restricted chain that is not
 admissible, falls back to the full chain, so every accepted or rejected
 draw and every error is that of the full chain.  A nonlinear f keeps the
 full chain.
+
+Being an ICIS is read off colengths that are computed anyway.  With I_j
+the ideal of f_1..f_j and J_j the j x j minors of their Jacobian,
+I_(j-1) + J_j lies in I_j + J_j, so a finite chain colength at step j
+shows that f_1..f_j has an isolated singular locus; the chain checks
+only the dimension of each truncation besides.  A finite tau does the
+same for X, because supp T^1_X = Sing X (Looijenga, Isolated Singular
+Points on Complete Intersections, 1984).  verify_icis and its own
+colength of I_j + J_j run only after an infinite one, to name the
+reason.  Conversely, once f_1..f_(j-1) and f_1..f_j are ICIS, the step
+colength is finite: a curve of critical points of f_j on the germ of
+f_1..f_(j-1) would lie in the germ of f_1..f_j and be singular there.
 """
 
 from __future__ import annotations
@@ -56,9 +68,7 @@ from .standard_basis import (
     ModuleElement,
     Submodule,
     is_finite,
-    krull_dimension,
     local_colength,
-    standard_basis,
 )
 
 GENERIC_COEFF_BOUND = 100
@@ -89,27 +99,43 @@ def _validate_germ_functions(fs) -> RingSpec:
 
 
 def verify_icis(ring: RingSpec, gens) -> IcisResult:
-    """Check that gens define an ICIS: right dimension, singular at most 0."""
+    """Check that gens define an ICIS: right dimension, singular at most 0.
+
+    The Milnor chain and the Tjurina number read isolatedness off their
+    own colength (see the module docstring); they call this only when that
+    colength is infinite, to name the reason.
+    """
     return _verify_icis_cached(ring, tuple(gens))
 
 
 @lru_cache(maxsize=None)
 def _verify_icis_cached(ring: RingSpec, gens: tuple[Polynomial, ...]) -> IcisResult:
     _validate_germ_functions(gens)
-    k = len(gens)
-    n = ring.n
-    expected = n - k
-    if expected < 0:
-        return IcisResult(False, reason=f"{k} generators in {n} variables")
-    ideal = Submodule.ideal(ring, gens)
-    basis = standard_basis(ideal)
-    dim = krull_dimension(basis)
-    if dim != expected:
-        return IcisResult(False, reason=f"dimension {dim}, expected {expected}")
-    total = module_sum(ideal, jacobian_minors(gens, k))
+    X = VarietyGerm(ring, gens)
+    reason = _dimension_reason(X)
+    if reason is not None:
+        return IcisResult(False, reason=reason)
+    total = module_sum(X.ideal, jacobian_minors(gens, X.k))
     if not is_finite(local_colength(total)):
         return IcisResult(False, reason="non-isolated singular locus")
-    return IcisResult(True, dim=expected)
+    return IcisResult(True, dim=X.dimension)
+
+
+def _dimension_reason(X: VarietyGerm) -> str | None:
+    """Why X is not of dimension n - k, or None if it is."""
+    n, k = X.ring.n, X.k
+    if k > n:
+        return f"{k} generators in {n} variables"
+    if X.dimension != n - k:
+        return f"dimension {X.dimension}, expected {n - k}"
+    return None
+
+
+def _require_icis(ring: RingSpec, gens: tuple[Polynomial, ...], index: int | None) -> None:
+    """Raise the ICISViolation of verify_icis, if there is one."""
+    result = verify_icis(ring, gens)
+    if not result.ok:
+        raise ICISViolation(result.reason, index=index)
 
 
 def milnor_hypersurface(f: Polynomial):
@@ -135,23 +161,30 @@ def milnor_icis(fs) -> int:
 
 @lru_cache(maxsize=None)
 def _milnor_chain(fs: tuple[Polynomial, ...]) -> int:
+    """mu_k = colength(I_(k-1) + J_k) - mu_(k-1), the shorter chain first.
+
+    Errors come in a fixed order: for each truncation j in turn its
+    dimension, then its isolatedness; InfiniteColength names the first
+    infinite step, once every truncation is verified.  A finite step
+    colength certifies that its truncation is isolated, so verify_icis
+    runs only after an infinite one.
+    """
     ring = _validate_germ_functions(fs)
-    for j in range(1, len(fs) + 1):
-        result = verify_icis(ring, fs[:j])
-        if not result.ok:
-            raise ICISViolation(result.reason, index=j)
-    mu = 0
-    for j in range(1, len(fs) + 1):
-        ideal = module_sum(
-            Submodule.ideal(ring, fs[: j - 1]), jacobian_minors(fs[:j], j)
-        )
-        value = local_colength(ideal)
-        if not is_finite(value):
-            raise InfiniteColength(
-                f"infinite colength at chain step {j}; reorder the generators"
-            )
-        mu = value - mu
-    return mu
+    k = len(fs)
+    try:
+        previous = _milnor_chain(fs[:-1]) if k > 1 else 0
+    except InfiniteColength:
+        _require_icis(ring, fs, k)
+        raise
+    reason = _dimension_reason(VarietyGerm(ring, fs))
+    if reason is not None:
+        raise ICISViolation(reason, index=k)
+    ideal = module_sum(Submodule.ideal(ring, fs[:-1]), jacobian_minors(fs, k))
+    value = local_colength(ideal)
+    if not is_finite(value):
+        _require_icis(ring, fs, k)
+        raise InfiniteColength(f"infinite colength at chain step {k}; reorder the generators")
+    return value - previous
 
 
 def _slice_milnor(gens: tuple[Polynomial, ...], h: Polynomial) -> int:
@@ -177,18 +210,20 @@ def tjurina_icis(X: VarietyGerm) -> int:
     """Tjurina number of an ICIS: base dimension of a semiuniversal deformation.
 
     Computed as the colength in O^k of the module spanned by the n Jacobian
-    columns and the k^2 products f_j * e_l.
+    columns and the k^2 products f_j * e_l.  A finite colength certifies
+    that X is isolated (supp T^1_X = Sing X), so only an infinite one
+    calls verify_icis, for the reason.
     """
     if X.is_ambient:
         raise PreconditionViolation("the ambient germ has no Tjurina number")
+    reason = _dimension_reason(X)
+    if reason is not None:
+        raise ICISViolation(reason)
     return _tjurina_cached(X.ring, X.generators)
 
 
 @lru_cache(maxsize=None)
 def _tjurina_cached(ring: RingSpec, gens: tuple[Polynomial, ...]) -> int:
-    result = verify_icis(ring, gens)
-    if not result.ok:
-        raise ICISViolation(result.reason)
     k = len(gens)
     n = ring.n
     columns = [
@@ -201,6 +236,7 @@ def _tjurina_cached(ring: RingSpec, gens: tuple[Polynomial, ...]) -> int:
     module = Submodule(ring, k, columns + trivial)
     value = local_colength(module)
     if not is_finite(value):
+        _require_icis(ring, gens, None)
         raise InfiniteColength("Tjurina module has infinite colength")
     return value
 
@@ -385,10 +421,8 @@ def derived_invariants(X: VarietyGerm, f: Polynomial, seed: int = 42) -> Invaria
     if X.is_ambient:
         raise PreconditionViolation("derived invariants need a proper variety")
     ring = X.ring
-    result = verify_icis(ring, X.generators)
-    if not result.ok:
-        raise ICISViolation(result.reason)
-    d = result.dim
+    tau_X = tjurina_icis(X)
+    d = X.dimension
     k = X.k
     if d < 3:
         raise PreconditionViolation(f"dimension {d} < 3")
@@ -397,7 +431,6 @@ def derived_invariants(X: VarietyGerm, f: Polynomial, seed: int = 42) -> Invaria
         raise PreconditionViolation("mixed rings")
 
     mu_X = milnor_icis(X.generators)
-    tau_X = tjurina_icis(X)
     try:
         mu_X_f = milnor_icis(X.generators + (f,))
     except ICISViolation as err:

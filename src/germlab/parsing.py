@@ -128,7 +128,8 @@ class _Parser:
                 index = self.ring.index(tok.text)
             except KeyError:
                 self.fail(f"unknown variable {tok.text!r}", tok)
-            exponent = 1
+            mono = [0] * self.ring.n
+            mono[index] = 1
             if self.peek().kind == "^":
                 self.advance()
                 exp_tok = self.peek()
@@ -137,8 +138,8 @@ class _Parser:
                         "malformed exponent: expected a non-negative integer", exp_tok
                     )
                 self.advance()
-                exponent = int(exp_tok.text)
-            return Polynomial.variable(self.ring, index) ** exponent
+                mono[index] = int(exp_tok.text)
+            return Polynomial.term(self.ring, mono, 1)
         if tok.kind == "(":
             self.advance()
             inner = self.parse_expr()

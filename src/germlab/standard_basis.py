@@ -565,21 +565,20 @@ def mora_normal_form(
 class StandardBasis:
     """A standard basis of a submodule under a fixed module order.
 
-    `key` is a term key of the order (larger key, larger term; see
-    `orders.term_key`).  A basis computed by `standard_basis` carries its
-    run's `_Packing` there, which also packs the terms of its normal
-    forms.  Every input generator reduces to zero against `elements`, and
-    the S-element of every critical pair of `elements` does as well.  A
+    `packing` is the `_Packing` of the run that computed the basis; it
+    also packs the terms of its normal forms.  Every input generator
+    reduces to zero against `elements`, and the S-element of every
+    critical pair of `elements` does as well.  A
     basis computed with `truncated_at=D` is one of module + m^D * O^rank
     and refuses membership queries.  Normal forms reduce against
     `entries`, the integer reducers of the run that computed the basis.
     """
 
-    __slots__ = ("ambient", "key", "elements", "lead_terms", "truncated_at", "_entries")
+    __slots__ = ("ambient", "packing", "elements", "lead_terms", "truncated_at", "_entries")
 
-    def __init__(self, ambient, key, elements, lead_terms, truncated_at=None, entries=()):
+    def __init__(self, ambient, packing, elements, lead_terms, truncated_at=None, entries=()):
         self.ambient = ambient
-        self.key = key
+        self.packing = packing
         self.elements = tuple(elements)
         self.lead_terms = tuple(lead_terms)
         self.truncated_at = truncated_at
@@ -595,7 +594,7 @@ class StandardBasis:
             f"in a normal form of rank {f.rank} against a standard basis of "
             f"{len(self._entries)} elements"
         )
-        packing = self.key
+        packing = self.packing
         rem = _mora_nf(_primitive(f.terms, packing), self._entries, packing, budget)
         return ModuleElement._raw(f.ring, f.rank, _rational(rem, packing))
 
@@ -825,8 +824,12 @@ def local_colength(module: Submodule):
     (x, y^2) at D = 3, a unit module at D = 2.  The low rungs are cheap,
     and most colengths in practice are small.  If no truncation level
     certifies (in particular whenever the colength is infinite), the
-    exact untruncated computation decides.
+    exact untruncated computation decides.  A component that no generator
+    touches makes the colength infinite, and is answered before any rung.
     """
+    touched = {comp for g in module.generators for comp, _ in g.terms}
+    if len(touched) < module.rank:
+        return INFINITE
     for degree in _TRUNCATION_LADDER:
         basis = standard_basis(module, truncate_degree=degree)
         if basis.truncated_at < degree:

@@ -5,7 +5,8 @@ import dataclasses
 import pytest
 
 import germlab.cli as cli
-from germlab import IdentityCheck, derived_invariants, step_cap
+import germlab.invariants as inv
+from germlab import IdentityCheck, derived_invariants, local_colength, step_cap
 from germlab.standard_basis import DEFAULT_MAX_STEPS
 
 SPHERE = """\
@@ -156,6 +157,37 @@ def test_exit_two_on_non_icis_linear_slice(tmp_path, capsys):
     assert code == 2
     assert err == "error: the slice by f is not an ICIS (non-isolated singular locus)\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["tjurina", "milnor", "invariants"])
+def test_exit_two_on_non_isolated_hypersurface(tmp_path, capsys, command):
+    # singular along the y-axis; tau or the chain colength is infinite, and
+    # verify_icis names the reason
+    text = "[ring]\nvariables = x, y, z, w\n[variety]\ng1 = x^2*y + z^2 + w^2\n"
+    code, out, err = run(tmp_path, capsys, text, command, "--machine")
+    assert (code, out) == (2, "")
+    assert err == "error: ICIS violation: non-isolated singular locus\n"
+
+
+@pytest.mark.parametrize(
+    "command, g",
+    [("milnor", "x^3 + y^5 + z^6 + x*y*z"), ("tjurina", "x^3 + y^5 + z^7 + x*y*z")],
+)
+def test_hypersurface_number_is_one_colength(tmp_path, capsys, monkeypatch, command, g):
+    # a finite mu or tau certifies isolatedness: no second colength runs
+    # just to verify the germ (each germ is used only here, so no cache
+    # holds its values)
+    calls = []
+
+    def counted(module):
+        calls.append(module)
+        return local_colength(module)
+
+    monkeypatch.setattr(inv, "local_colength", counted)
+    text = f"[ring]\nvariables = x, y, z\n[variety]\ng1 = {g}\n"
+    code, out, err = run(tmp_path, capsys, text, command, "--machine")
+    assert code == 0, err
+    assert len(calls) == 1
 
 
 def test_exit_two_on_low_dimension(tmp_path, capsys):

@@ -9,6 +9,7 @@ from germlab import (
     GenericityExhausted,
     GermlabError,
     ICISViolation,
+    InfiniteColength,
     Polynomial,
     PreconditionViolation,
     ReductionLimitExceeded,
@@ -26,6 +27,7 @@ from germlab import (
     tjurina_icis,
     verify_icis,
 )
+import germlab.invariants as inv
 from germlab.invariants import _generic_slice, _milnor_chain
 from germlab.ring import restrict_to_hyperplane
 
@@ -99,6 +101,45 @@ def test_milnor_icis_curve():
 def test_milnor_icis_chain_violation():
     with pytest.raises(ICISViolation):
         milnor_icis([poly("x*y", R3), poly("x*z", R3)])
+
+
+def test_chain_errors_come_truncation_by_truncation():
+    # the first truncation is singular along the y-axis and the second has
+    # the wrong dimension: the first truncation's error wins
+    chain = [poly("x^2*y + z^2 + w^2", R4), poly("x^2*y*z + z^3 + z*w^2", R4)]
+    with pytest.raises(ICISViolation, match="non-isolated") as info:
+        milnor_icis(chain)
+    assert info.value.index == 1
+    assert verify_icis(R4, chain).reason == "dimension 3, expected 2"
+
+
+def test_admissible_icis_in_a_non_admissible_order():
+    # X is an ICIS curve, but its first generator alone is not isolated; an
+    # infinite chain colength never follows two verified truncations (a
+    # critical curve of f_j on X_(j-1) would be a singular curve of X_j), so
+    # the truncation is what the error names
+    quadric, cross = poly("x^2 + y^2 + z^2", R3), poly("x*y", R3)
+    assert milnor_icis([quadric, cross]) == 5
+    with pytest.raises(ICISViolation, match="non-isolated") as info:
+        milnor_icis([cross, quadric])
+    assert info.value.index == 1
+
+
+def test_reorder_error_names_the_first_infinite_step(monkeypatch):
+    # with every truncation verified, an infinite step colength is reported
+    # as a non-admissible order, naming its step
+    # a chain used only here, so that no cached value hides the first step
+    chain = (poly("x^2 + 2*y^2 + 3*z^2 + 5*w^3", R4), poly("x*y - z^2 + 7*w^2", R4))
+    verified = {1: inv.IcisResult(True, dim=3), 2: inv.IcisResult(True, dim=2)}
+    monkeypatch.setattr(inv, "verify_icis", lambda ring, gens: verified[len(gens)])
+    monkeypatch.setattr(inv, "local_colength", lambda module: INFINITE)
+    with pytest.raises(InfiniteColength, match="^infinite colength at chain step 1; reorder"):
+        _milnor_chain(chain)
+    # ... but only once every truncation is verified
+    verified[2] = inv.IcisResult(False, reason="non-isolated singular locus")
+    with pytest.raises(ICISViolation) as info:
+        _milnor_chain(chain)
+    assert info.value.index == 2
 
 
 def test_milnor_icis_zero_dimensional():

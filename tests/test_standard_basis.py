@@ -483,6 +483,23 @@ def test_local_colength_falls_back_on_infinite():
     assert local_colength(ideal(R3, "x*y", "x*z")) is INFINITE
 
 
+def test_untouched_component_is_infinite_before_any_rung():
+    # zero in component 2, so the colength is infinite; the ladder used to
+    # climb every rung on it, and rung 28 ran out of memory before a
+    # 3000-step cap
+    rows = [
+        ("-2/3*x*y*z + x^2*y^2 - 5/3*x*y^4", "-x^2 + 3/2*x^4*y^2*z^4 + 5/3*x^4*y^4*z^3"),
+        ("x^2*z", "-3*x - 5/4*x^2*z^2"),
+        ("-1/4 - x^2*y^3*z^3", "-5/3*z^3 - x^3*y^4*z^2"),
+    ]
+    gens = [
+        ModuleElement.from_polynomials([poly(a, R3), poly(b, R3), poly("0", R3)])
+        for a, b in rows
+    ]
+    with step_cap(1):
+        assert local_colength(Submodule(R3, 3, gens)) is INFINITE
+
+
 tiny_monos = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
 
