@@ -26,7 +26,7 @@ from .invariants import (
     InvariantReport,
     derived_invariants,
     detect_quasihomogeneous,
-    generic_linear_form,
+    generic_slice,
     milnor_hypersurface,
     milnor_icis,
     tjurina_icis,
@@ -89,7 +89,7 @@ __all__ = [
     "detect_quasihomogeneous",
     "df_theta",
     "format_polynomial",
-    "generic_linear_form",
+    "generic_slice",
     "gradient",
     "intersect",
     "is_finite",

@@ -30,14 +30,16 @@ full chain.
 Being an ICIS is read off colengths that are computed anyway.  With I_j
 the ideal of f_1..f_j and J_j the j x j minors of their Jacobian,
 I_(j-1) + J_j lies in I_j + J_j, so a finite chain colength at step j
-shows that f_1..f_j has an isolated singular locus; the chain checks
-only the dimension of each truncation besides.  A finite tau does the
-same for X, because supp T^1_X = Sing X (Looijenga, Isolated Singular
-Points on Complete Intersections, 1984).  verify_icis and its own
-colength of I_j + J_j run only after an infinite one, to name the
-reason.  Conversely, once f_1..f_(j-1) and f_1..f_j are ICIS, the step
-colength is finite: a curve of critical points of f_j on the germ of
-f_1..f_(j-1) would lie in the germ of f_1..f_j and be singular there.
+shows that f_1..f_j has an isolated singular locus.  Conversely, once
+f_1..f_(j-1) and f_1..f_j are ICIS, the step colength is finite: a curve
+of critical points of f_j on the germ of f_1..f_(j-1) would lie in the
+germ of f_1..f_j and be singular there.  So the chain checks only the
+dimension of each truncation, and an infinite step colength names a
+non-isolated singular locus.  tau does the same for X of the right
+dimension, because supp T^1_X = Sing X (Looijenga, Isolated Singular
+Points on Complete Intersections, 1984).  verify_icis decides the same
+question from its own colength of I_j + J_j; the pipeline never calls
+it, and the tests check its errors against the pipeline's.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from .standard_basis import (
 
 GENERIC_COEFF_BOUND = 100
 GENERIC_MAX_ATTEMPTS = 32
+NON_ISOLATED = "non-isolated singular locus"
 
 
 @dataclass(frozen=True)
@@ -101,15 +104,11 @@ def _validate_germ_functions(fs) -> RingSpec:
 def verify_icis(ring: RingSpec, gens) -> IcisResult:
     """Check that gens define an ICIS: right dimension, singular at most 0.
 
-    The Milnor chain and the Tjurina number read isolatedness off their
-    own colength (see the module docstring); they call this only when that
-    colength is infinite, to name the reason.
+    An independent route to the errors of the pipeline, which reads
+    isolatedness off its own colengths (see the module docstring): the
+    dimension, then the colength of I + J_k.
     """
-    return _verify_icis_cached(ring, tuple(gens))
-
-
-@lru_cache(maxsize=None)
-def _verify_icis_cached(ring: RingSpec, gens: tuple[Polynomial, ...]) -> IcisResult:
+    gens = tuple(gens)
     _validate_germ_functions(gens)
     X = VarietyGerm(ring, gens)
     reason = _dimension_reason(X)
@@ -117,7 +116,7 @@ def _verify_icis_cached(ring: RingSpec, gens: tuple[Polynomial, ...]) -> IcisRes
         return IcisResult(False, reason=reason)
     total = module_sum(X.ideal, jacobian_minors(gens, X.k))
     if not is_finite(local_colength(total)):
-        return IcisResult(False, reason="non-isolated singular locus")
+        return IcisResult(False, reason=NON_ISOLATED)
     return IcisResult(True, dim=X.dimension)
 
 
@@ -131,13 +130,6 @@ def _dimension_reason(X: VarietyGerm) -> str | None:
     return None
 
 
-def _require_icis(ring: RingSpec, gens: tuple[Polynomial, ...], index: int | None) -> None:
-    """Raise the ICISViolation of verify_icis, if there is one."""
-    result = verify_icis(ring, gens)
-    if not result.ok:
-        raise ICISViolation(result.reason, index=index)
-
-
 def milnor_hypersurface(f: Polynomial):
     """Colength of the Jacobian ideal; INFINITE for a non-isolated singularity."""
     _validate_germ_functions([f])
@@ -147,10 +139,10 @@ def milnor_hypersurface(f: Polynomial):
 def milnor_icis(fs) -> int:
     """Milnor number of the ICIS cut out by the chain f_1..f_k.
 
-    Every truncation of the chain must itself be an ICIS (ICISViolation
-    otherwise); an infinite intermediate colength signals a non-generic
-    ordering of the chain and raises InfiniteColength.  A chain that ends
-    in a linear form is computed on its hyperplane, in one variable less,
+    Every truncation of the chain must itself be an ICIS; the first one
+    that is not raises ICISViolation with its index, naming a wrong
+    dimension or a non-isolated singular locus.  A chain that ends in a
+    linear form is computed on its hyperplane, in one variable less,
     with the same value and the same errors (see the module docstring).
     """
     fs = tuple(fs)
@@ -164,45 +156,39 @@ def _milnor_chain(fs: tuple[Polynomial, ...]) -> int:
     """mu_k = colength(I_(k-1) + J_k) - mu_(k-1), the shorter chain first.
 
     Errors come in a fixed order: for each truncation j in turn its
-    dimension, then its isolatedness; InfiniteColength names the first
-    infinite step, once every truncation is verified.  A finite step
-    colength certifies that its truncation is isolated, so verify_icis
-    runs only after an infinite one.
+    dimension, then its isolatedness, read off the step colength (see
+    the module docstring).
     """
     ring = _validate_germ_functions(fs)
     k = len(fs)
-    try:
-        previous = _milnor_chain(fs[:-1]) if k > 1 else 0
-    except InfiniteColength:
-        _require_icis(ring, fs, k)
-        raise
+    previous = _milnor_chain(fs[:-1]) if k > 1 else 0
     reason = _dimension_reason(VarietyGerm(ring, fs))
     if reason is not None:
         raise ICISViolation(reason, index=k)
     ideal = module_sum(Submodule.ideal(ring, fs[:-1]), jacobian_minors(fs, k))
     value = local_colength(ideal)
     if not is_finite(value):
-        _require_icis(ring, fs, k)
-        raise InfiniteColength(f"infinite colength at chain step {k}; reorder the generators")
+        raise ICISViolation(NON_ISOLATED, index=k)
     return value - previous
 
 
 def _slice_milnor(gens: tuple[Polynomial, ...], h: Polynomial) -> int:
     """The chain gens + (h,), on {h = 0} in one variable less for a linear h.
 
-    The chain of gens is verified first, because the full chain requires
-    it; a zero restriction or a restricted chain that is not admissible
-    falls back to the full chain, so every error is the one it raises.
+    The chain of gens is verified first, outside the fallback, because its
+    error is the full chain's first; a zero restriction or a restricted
+    chain that is not admissible falls back to the full chain, so every
+    error is the one it raises.
     """
     ring = _validate_germ_functions(gens + (h,))
     if ring.n > 1 and h.degree() == 1:
-        try:
-            _milnor_chain(gens)
-            restricted = restrict_to_hyperplane(gens, h)
-            if all(restricted):
+        _milnor_chain(gens)
+        restricted = restrict_to_hyperplane(gens, h)
+        if all(restricted):
+            try:
                 return _milnor_chain(restricted)
-        except (ICISViolation, InfiniteColength):
-            pass
+            except ICISViolation:
+                pass
     return _milnor_chain(gens + (h,))
 
 
@@ -210,20 +196,24 @@ def tjurina_icis(X: VarietyGerm) -> int:
     """Tjurina number of an ICIS: base dimension of a semiuniversal deformation.
 
     Computed as the colength in O^k of the module spanned by the n Jacobian
-    columns and the k^2 products f_j * e_l.  A finite colength certifies
-    that X is isolated (supp T^1_X = Sing X), so only an infinite one
-    calls verify_icis, for the reason.
+    columns and the k^2 products f_j * e_l.  Once X has the right
+    dimension, the colength is finite exactly when X is isolated
+    (supp T^1_X = Sing X), so an infinite one names a non-isolated
+    singular locus.
     """
     if X.is_ambient:
         raise PreconditionViolation("the ambient germ has no Tjurina number")
     reason = _dimension_reason(X)
     if reason is not None:
         raise ICISViolation(reason)
-    return _tjurina_cached(X.ring, X.generators)
+    value = _tjurina_cached(X.ring, X.generators)
+    if not is_finite(value):
+        raise ICISViolation(NON_ISOLATED)
+    return value
 
 
 @lru_cache(maxsize=None)
-def _tjurina_cached(ring: RingSpec, gens: tuple[Polynomial, ...]) -> int:
+def _tjurina_cached(ring: RingSpec, gens: tuple[Polynomial, ...]):
     k = len(gens)
     n = ring.n
     columns = [
@@ -233,30 +223,20 @@ def _tjurina_cached(ring: RingSpec, gens: tuple[Polynomial, ...]) -> int:
     trivial = [
         ModuleElement.unit_vector(ring, k, l) * g for g in gens for l in range(k)
     ]
-    module = Submodule(ring, k, columns + trivial)
-    value = local_colength(module)
-    if not is_finite(value):
-        _require_icis(ring, gens, None)
-        raise InfiniteColength("Tjurina module has infinite colength")
-    return value
+    return local_colength(Submodule(ring, k, columns + trivial))
 
 
-def generic_linear_form(X: VarietyGerm, seed: int) -> Polynomial:
-    """A seeded random linear form p whose slice of X is an ICIS.
+def generic_slice(X: VarietyGerm, seed: int) -> tuple[Polynomial, int]:
+    """A seeded random linear form p whose slice of X is an ICIS, and its mu.
 
     Coefficients are drawn uniformly from [-100, 100]; a draw is accepted
-    iff I(X,0) + (p) verifies as an ICIS with finite slice Milnor number.
-    The slice Milnor number is computed on {p = 0} in n - 1 variables, by
+    iff the chain (g_1..g_k, p) is admissible, and its Milnor number is
+    returned with p.  It is computed on {p = 0} in n - 1 variables, by
     eliminating the last variable that p involves, and on the full chain
-    (g_1..g_k, p) only when the restricted chain is not admissible; both
-    decide the same draws (see the module docstring).  The same seed
-    always yields the same form.
+    only when the restricted chain is not admissible; both decide the
+    same draws (see the module docstring).  The same seed always yields
+    the same form.
     """
-    p, _ = _generic_slice(X, seed)
-    return p
-
-
-def _generic_slice(X: VarietyGerm, seed: int) -> tuple[Polynomial, int]:
     if X.is_ambient or X.dimension < 1:
         raise PreconditionViolation("generic slicing needs a variety of dimension >= 1")
     ring = X.ring
@@ -274,7 +254,7 @@ def _generic_slice(X: VarietyGerm, seed: int) -> tuple[Polynomial, int]:
         p = Polynomial(ring, terms)
         try:
             mu = milnor_icis(X.generators + (p,))
-        except (ICISViolation, InfiniteColength):
+        except ICISViolation:
             continue
         return p, mu
     raise GenericityExhausted(
@@ -435,7 +415,7 @@ def derived_invariants(X: VarietyGerm, f: Polynomial, seed: int = 42) -> Invaria
         mu_X_f = milnor_icis(X.generators + (f,))
     except ICISViolation as err:
         raise PreconditionViolation(f"the slice by f is not an ICIS ({err.reason})") from err
-    _, mu_X_p = _generic_slice(X, seed)
+    _, mu_X_p = generic_slice(X, seed)
 
     image = df_theta(f, X.tangent_module)
     mu_br = local_colength(image)

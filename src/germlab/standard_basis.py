@@ -11,6 +11,17 @@ so it is always the primitive vector on the ray of the rational
 remainder: coefficients never grow beyond what that vector needs (the
 primitive-remainder idea), and signs are those of rational arithmetic.
 
+Monomials are ordered by negative-degree reverse-lexicographic order
+(`ring.negdegrevlex_key`), a local order: 1 beats every variable.  The
+module order with parameter `block` extends it to terms (c, a) of O^rank.
+With block = 0 it is term-over-position: compare the monomials, then
+prefer the smaller component.  With block > 0 every term in components
+0 .. block-1 beats every term in the later ones, and within each block
+the order is term-over-position; this block order is what makes
+submodule pullbacks work.  The tests specify it as a tuple key
+(`term_key` in `tests/_oracle.py`) and check the packing below against
+it on random terms.
+
 Inside the kernel a term (c, a) of O^rank over n variables is also one
 int (`_Packing`, after the packed exponent vectors of Bachmann and
 Schoenemann, "Monomial representations for Groebner bases computations",
@@ -21,8 +32,8 @@ ISSAC 1998).  From the low bits up it holds fixed-width fields
 with flag = 1 when 0 < block <= c.  Integer comparison reads the fields
 from the top: a trailing-block term, a larger degree, then (degrees
 equal) a larger exponent of a later variable, then a larger component
-each make the int larger, and each makes the term smaller under
-`orders.term_key(block)`.  So a smaller int is a larger term: the lead
+each make the int larger, and each makes the term smaller in the
+module order.  So a smaller int is a larger term: the lead
 term of a vector is `min(vec)`, and with no flags its largest degree is
 `max(vec) >> deg_shift`.  Multiplying a term by x^alpha adds the packed
 alpha (exponent and degree fields only); dividing it by a lead of the
@@ -55,8 +66,8 @@ standard basis: the monomials (with component) outside it form a vector
 space basis of the quotient.
 
 The kernel has two settings.  `standard_basis(module, block=...)` picks
-the module order (`orders.term_key`): term-over-position by default,
-block-eliminating for submodule pullbacks.  `step_cap(limit)` bounds
+the module order: term-over-position by default, block-eliminating for
+submodule pullbacks.  `step_cap(limit)` bounds
 the reduction steps of every standard-basis run and normal form started
 inside it; the cap is held in a context variable, so leaving the scope
 restores the previous one.
@@ -322,7 +333,7 @@ class _Packing:
     variables as one int, laid out as the module docstring describes.
 
     Called on a term it gives -pack(c, a), a key of the module order
-    `orders.term_key(block)` on the terms of O^rank.
+    with parameter `block` on the terms of O^rank.
     """
 
     __slots__ = ("shifts", "units", "deg_shift", "low", "guards", "blocked", "_heads")
@@ -526,8 +537,8 @@ def mora_normal_form(
 
     The certificate is read off one normal form in the graph module
     O^(rank+1+s), s = len(gens): f becomes F = (f | 1 | 0) and each
-    nonzero g_i becomes G_i = (g_i | 0 | e_i), under `term_key(rank)`,
-    which eliminates the first block and orders it term-over-position.
+    nonzero g_i becomes G_i = (g_i | 0 | e_i), under the block order with
+    `block=rank`, which eliminates the first block and orders it term-over-position.
     Every working vector is an O-combination u*F - sum_i q_i*G_i, that is
     (u*f - sum_i q_i*g_i | u | -q).  While the first block is nonzero it
     holds the lead, so each step reduces it against gens (the ecart counts
@@ -610,7 +621,7 @@ def standard_basis(
 ) -> StandardBasis:
     """Compute a standard basis of `module` by Mora's algorithm.
 
-    The module order is `orders.term_key(block)`: term-over-position for
+    The module order (see the module docstring) is term-over-position for
     `block=0`, otherwise block-eliminating with components 0 .. block-1
     as the leading block.
 

@@ -3,7 +3,8 @@
 Everything here is plain sparse Gaussian elimination over Fraction acting
 on raw term dicts ({monomial: coeff} or {(component, monomial): coeff}).
 Nothing imports the Mora/standard-basis machinery these oracles are used
-to cross-check.
+to cross-check.  `term_key` specifies the module orders as tuple keys,
+against which the tests check the kernel's packed terms.
 
 Colengths are computed as stabilized truncations: dim O^rank / (M + m^D)
 equals (number of module monomials of degree < D) minus the rank of the
@@ -18,9 +19,34 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from germlab.ring import negdegrevlex_key
+
 
 class OracleDidNotStabilize(RuntimeError):
     pass
+
+
+def term_key(block: int = 0):
+    """Key function on (component, monomial) pairs whose lexicographic
+    comparison is the module order; the key is injective.
+
+    With `block == 0` the order is term-over-position: compare the
+    monomial parts and break ties by preferring the smaller component
+    index.  With `block > 0` it is block-eliminating: every term whose
+    component lies in the leading block (components 0 .. block-1) beats
+    every term in the trailing block, and within a block terms compare
+    term-over-position.
+    """
+    if block == 0:
+        def top_key(term):
+            c, m = term
+            return negdegrevlex_key(m) + (-c,)
+        return top_key
+
+    def block_key(term):
+        c, m = term
+        return (1 if c < block else 0,) + negdegrevlex_key(m) + (-c,)
+    return block_key
 
 
 def monomials_below(n: int, degree: int) -> list[tuple[int, ...]]:

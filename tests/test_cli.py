@@ -161,8 +161,8 @@ def test_exit_two_on_non_icis_linear_slice(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["tjurina", "milnor", "invariants"])
 def test_exit_two_on_non_isolated_hypersurface(tmp_path, capsys, command):
-    # singular along the y-axis; tau or the chain colength is infinite, and
-    # verify_icis names the reason
+    # singular along the y-axis; tau or the chain colength is infinite,
+    # which names a non-isolated singular locus
     text = "[ring]\nvariables = x, y, z, w\n[variety]\ng1 = x^2*y + z^2 + w^2\n"
     code, out, err = run(tmp_path, capsys, text, command, "--machine")
     assert (code, out) == (2, "")
@@ -187,6 +187,33 @@ def test_hypersurface_number_is_one_colength(tmp_path, capsys, monkeypatch, comm
     text = f"[ring]\nvariables = x, y, z\n[variety]\ng1 = {g}\n"
     code, out, err = run(tmp_path, capsys, text, command, "--machine")
     assert code == 0, err
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "command, gens",
+    [
+        ("milnor", "x^2*y + z^2 + w^3"),
+        ("tjurina", "x^2*y + z^3 + w^2"),
+        ("invariants", "x^2*y + z^3 + w^3\n[function]\nf = z"),
+        ("milnor", "x^2*y + z^2 + w^4\ng2 = x + y"),
+    ],
+)
+def test_non_isolated_germ_is_one_colength(tmp_path, capsys, monkeypatch, command, gens):
+    # the infinite mu, tau or chain step names the reason itself: no second
+    # colength runs to verify the germ (each germ is used only here, so no
+    # cache holds its values)
+    calls = []
+
+    def counted(module):
+        calls.append(module)
+        return local_colength(module)
+
+    monkeypatch.setattr(inv, "local_colength", counted)
+    text = f"[ring]\nvariables = x, y, z, w\n[variety]\ng1 = {gens}\n"
+    code, out, err = run(tmp_path, capsys, text, command, "--machine")
+    assert (code, out) == (2, "")
+    assert err == "error: ICIS violation: non-isolated singular locus\n"
     assert len(calls) == 1
 
 

@@ -1,6 +1,7 @@
 """Design rules checked on the source: no global statements, no dangling
 exports, one graph-module elimination, a fraction-free reduction loop on
-packed terms."""
+packed terms, and isolatedness decided once, from the pipeline's own
+colengths."""
 
 import ast
 from pathlib import Path
@@ -106,4 +107,28 @@ def test_reduction_loop_orders_and_divides_packed_terms():
                 ):
                     offenders.append(f"{node.name}:{inner.lineno}:{name}")
     assert kernel == set()
+    assert offenders == []
+
+
+def test_no_pipeline_code_calls_verify_icis():
+    # verify_icis is the independent route the tests compare against
+    offenders = []
+    for path, tree in parsed_sources():
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _called_name(node) == "verify_icis"
+        ]
+    assert offenders == []
+
+
+def test_invariants_catch_no_infinite_colength():
+    # an infinite chain step or tau is an ICISViolation where it is computed
+    tree = {path.name: parsed for path, parsed in parsed_sources()}["invariants.py"]
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
+            if "InfiniteColength" in names:
+                offenders.append(node.lineno)
     assert offenders == []

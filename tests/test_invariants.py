@@ -9,14 +9,13 @@ from germlab import (
     GenericityExhausted,
     GermlabError,
     ICISViolation,
-    InfiniteColength,
     Polynomial,
     PreconditionViolation,
     ReductionLimitExceeded,
     VarietyGerm,
     derived_invariants,
     detect_quasihomogeneous,
-    generic_linear_form,
+    generic_slice,
     gradient,
     is_finite,
     milnor_hypersurface,
@@ -27,8 +26,7 @@ from germlab import (
     tjurina_icis,
     verify_icis,
 )
-import germlab.invariants as inv
-from germlab.invariants import _generic_slice, _milnor_chain
+from germlab.invariants import _milnor_chain
 from germlab.ring import restrict_to_hyperplane
 
 import _oracle as oracle
@@ -125,21 +123,90 @@ def test_admissible_icis_in_a_non_admissible_order():
     assert info.value.index == 1
 
 
-def test_reorder_error_names_the_first_infinite_step(monkeypatch):
-    # with every truncation verified, an infinite step colength is reported
-    # as a non-admissible order, naming its step
-    # a chain used only here, so that no cached value hides the first step
-    chain = (poly("x^2 + 2*y^2 + 3*z^2 + 5*w^3", R4), poly("x*y - z^2 + 7*w^2", R4))
-    verified = {1: inv.IcisResult(True, dim=3), 2: inv.IcisResult(True, dim=2)}
-    monkeypatch.setattr(inv, "verify_icis", lambda ring, gens: verified[len(gens)])
-    monkeypatch.setattr(inv, "local_colength", lambda module: INFINITE)
-    with pytest.raises(InfiniteColength, match="^infinite colength at chain step 1; reorder"):
-        _milnor_chain(chain)
-    # ... but only once every truncation is verified
-    verified[2] = inv.IcisResult(False, reason="non-isolated singular locus")
-    with pytest.raises(ICISViolation) as info:
-        _milnor_chain(chain)
-    assert info.value.index == 2
+def _first_violation(fs):
+    """(reason, index) of verify_icis on the first truncation that is not an ICIS."""
+    for j in range(1, len(fs) + 1):
+        result = verify_icis(fs[0].ring, fs[:j])
+        if not result.ok:
+            return result.reason, j
+    return None
+
+
+def _violation(compute):
+    try:
+        compute()
+    except ICISViolation as err:
+        return err.reason, err.index
+    return None
+
+
+def _random_generator(rng, ring, linear):
+    """A sparse generator: one or two coordinate terms if linear, else one to
+    three terms of degree 2 or 3, seven times in ten plus some pure powers."""
+    n = ring.n
+    terms = {}
+    for _ in range(rng.randint(1, 2) if linear else rng.randint(1, 3)):
+        mono = [0] * n
+        for _ in range(1 if linear else rng.randint(2, 3)):
+            mono[rng.randrange(n)] += 1
+        terms[tuple(mono)] = rng.choice((-2, -1, 1, 2, 3))
+    if not linear and rng.random() < 0.7:
+        for i in rng.sample(range(n), rng.randint(1, n)):
+            mono = [0] * n
+            mono[i] = rng.randint(2, 4)
+            terms[tuple(mono)] = terms.get(tuple(mono), 0) + rng.choice((1, 2, -3))
+    g = Polynomial(ring, terms)
+    return g if not g.is_zero() else _random_generator(rng, ring, linear)
+
+
+def _random_chain(rng):
+    """One or two generators in two to four variables; 40 % end in a linear form."""
+    ring = rng.choice((R2, R3, R3, R4))
+    k = rng.randint(1, 2)
+    linear = k == 2 and rng.random() < 0.4
+    return tuple(_random_generator(rng, ring, linear and j == k - 1) for j in range(k))
+
+
+NON_ICIS_CHAINS = [
+    (poly("x*y", R3), poly("x*z", R3)),
+    (poly("x*y", R3), poly("x^2 + y^2 + z^2", R3)),
+    (poly("x^2", R2),),
+    (poly("x^2*y + z^2 + w^2", R4), poly("x^2*y*z + z^3 + z*w^2", R4)),
+    (poly("x^2 + y^2 + z^2 + w^2", R4), poly("x^2 + y^2 + z^2 + 2*w^2", R4)),
+    (poly("x*y + z^2 + w^2", R4), poly("x", R4)),
+    QUADRIC4.generators * 2,
+    restrict_to_hyperplane((poly("x^2 + y*w + z^2", R4), poly("y^2 + z^2 + w^2", R4)),
+                           poly("w", R4)),
+]
+
+
+def test_pipeline_errors_match_verify_icis():
+    # milnor_icis and tjurina_icis name a non-isolated singular locus from
+    # their own colength; verify_icis decides it from I + J_k, on the first
+    # failing truncation for the chain and on the whole chain for tau.  A
+    # chain on which some route reaches the step cap is not compared.
+    rng = random.Random(22)
+    chains = [(True, fs) for fs in NON_ICIS_CHAINS]
+    chains += [(False, _random_chain(rng)) for _ in range(60)]
+    reasons = []
+    for known_bad, fs in chains:
+        X = VarietyGerm(fs[0].ring, fs)
+        try:
+            with step_cap(2000):
+                first = _first_violation(fs)
+                whole = verify_icis(X.ring, fs)
+                milnor = _violation(lambda: milnor_icis(fs))
+                tjurina = _violation(lambda: tjurina_icis(X))
+        except ReductionLimitExceeded:
+            assert not known_bad, fs
+            continue
+        assert milnor == first, fs
+        assert tjurina == (None if whole.ok else (whole.reason, None)), fs
+        assert first or not known_bad, fs
+        reasons.append(first[0] if first else "ICIS")
+    assert len(reasons) >= 60
+    assert reasons.count("ICIS") >= 10
+    assert reasons.count("non-isolated singular locus") >= 10
 
 
 def test_milnor_icis_zero_dimensional():
@@ -202,34 +269,34 @@ def test_tjurina_requires_icis():
 # ----------------------------------------------------------- generic slices
 
 
-def test_generic_linear_form_is_deterministic():
-    p1 = generic_linear_form(QUADRIC4, 42)
-    p2 = generic_linear_form(QUADRIC4, 42)
-    assert p1 == p2
+def test_generic_slice_is_deterministic():
+    p1, mu1 = generic_slice(QUADRIC4, 42)
+    p2, mu2 = generic_slice(QUADRIC4, 42)
+    assert (p1, mu1) == (p2, mu2)
     assert p1.degree() == 1
 
 
-def test_generic_linear_form_accepts_valid_slice():
-    p, mu = _generic_slice(QUADRIC4, 42)
+def test_generic_slice_accepts_valid_slice():
+    p, mu = generic_slice(QUADRIC4, 42)
     assert mu == 1
     result = verify_icis(R4, QUADRIC4.generators + (p,))
     assert result.ok
 
 
 def test_generic_slice_value_stable_across_seeds():
-    _, mu_a = _generic_slice(BRIESKORN3, 42)
-    _, mu_b = _generic_slice(BRIESKORN3, 7)
+    _, mu_a = generic_slice(BRIESKORN3, 42)
+    _, mu_b = generic_slice(BRIESKORN3, 7)
     assert mu_a == mu_b == 1
 
 
 def test_generic_slice_needs_positive_dimension():
     point = germ(R2, "x", "y")
     with pytest.raises(PreconditionViolation):
-        _generic_slice(point, 42)
+        generic_slice(point, 42)
 
 
 def test_generic_slice_of_curve_is_zero_dimensional():
-    p, mu = _generic_slice(CURVE_K2, 42)
+    p, mu = generic_slice(CURVE_K2, 42)
     assert p.degree() == 1
     assert mu >= 0
 
@@ -237,7 +304,7 @@ def test_generic_slice_of_curve_is_zero_dimensional():
 def test_genericity_exhausted_on_fat_point():
     # every slice of the non-reduced germ V(x^2) fails the chain check
     with pytest.raises(GenericityExhausted):
-        _generic_slice(germ(R2, "x^2"), 1)
+        generic_slice(germ(R2, "x^2"), 1)
 
 
 def test_slice_milnor_matches_direct_substitution():
@@ -440,7 +507,7 @@ def test_report_value_signs():
 
 
 def test_generic_form_slicing_itself_gives_zero_obstruction():
-    p = generic_linear_form(QUADRIC4, 42)
+    p, _ = generic_slice(QUADRIC4, 42)
     rep = derived_invariants(QUADRIC4, p, seed=42)
     assert rep.eu_fX == 0
     assert rep.consistent

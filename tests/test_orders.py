@@ -2,8 +2,9 @@
 
 from hypothesis import given, strategies as st
 
-from germlab.orders import term_key
 from germlab.ring import negdegrevlex_key
+
+from _oracle import term_key
 
 TOP = term_key()
 
