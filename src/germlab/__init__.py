@@ -8,7 +8,7 @@ Brasselet number and d-th polar multiplicity from the identities
 connecting them, re-checking every identity exactly.
 """
 
-from .derlog import VarietyGerm, df_theta, mu_BR, mu_BR_rel, tau_BR
+from .derlog import BruceRoberts, VarietyGerm, df_theta
 from .errors import (
     ContainmentViolation,
     DegreeLimitExceeded,
@@ -63,6 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "INFINITE",
+    "BruceRoberts",
     "ContainmentViolation",
     "DegreeLimitExceeded",
     "GenericityExhausted",
@@ -100,8 +101,6 @@ __all__ = [
     "milnor_icis",
     "module_sum",
     "mora_normal_form",
-    "mu_BR",
-    "mu_BR_rel",
     "parse_polynomial",
     "parse_problem_file",
     "product",
@@ -110,7 +109,6 @@ __all__ = [
     "submodule_pullback",
     "subquotient_dimension",
     "syzygies",
-    "tau_BR",
     "tjurina_icis",
     "verify_icis",
 ]

@@ -17,7 +17,7 @@ import argparse
 import sys
 from functools import cache
 
-from .derlog import VarietyGerm, mu_BR, mu_BR_rel, tau_BR
+from .derlog import VarietyGerm
 from .errors import (
     ContainmentViolation,
     DegreeLimitExceeded,
@@ -37,8 +37,6 @@ from .invariants import (
 )
 from .problemfile import INTEGER, ProblemFile, parse_problem_file
 from .standard_basis import colength, krull_dimension, step_cap
-
-_COMMANDS = ("invariants", "theta", "std", "milnor", "tjurina", "check")
 
 _PRECONDITION_ERRORS = (
     ICISViolation,
@@ -85,7 +83,7 @@ def _run_invariants(problem: ProblemFile, seed: int):
         f = _require_function(problem)
         rows.append(("d", problem.ring.n))
         mu_f = milnor_hypersurface(f)
-        mu_br, mu_br_rel, tau_br = mu_BR(f, X), mu_BR_rel(f, X), tau_BR(f, X)
+        mu_br, mu_br_rel, tau_br = X.bruce_roberts(f)
         rows += [("mu_f", mu_f), ("mu_br", mu_br), ("mu_br_rel", mu_br_rel), ("tau_br", tau_br)]
         checks = [
             IdentityCheck("ambient_bruce_roberts", mu_br, mu_f),
@@ -227,7 +225,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Local invariants of isolated complete intersection singularities.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _RUNNERS:
         sub = subparsers.add_parser(name)
         sub.add_argument("file", help="problem file describing the germ")
         sub.add_argument("--seed", type=_ascii_int, default=None, help="override the file's seed")

@@ -19,13 +19,17 @@ relations matter.  By Nakayama's lemma an irredundant generating set is
 minimal, so the number of generators kept is the minimal number of
 generators of Theta_X, whatever the input order.
 
-The three Bruce-Roberts-type numbers are colengths of df(Theta_X),
-optionally enlarged by the ideal of X or by the function itself.
+The three Bruce-Roberts numbers of a function f on X are colengths of
+the one ideal df(Theta_X): alone, plus the ideal of X, or plus (f).
+VarietyGerm.bruce_roberts builds df(Theta_X) once and returns all three.
+Like Theta_X, the Tjurina colength depends on X alone and is cached on
+the germ.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import PreconditionViolation
 from .module_ops import intersect, module_sum, submodule_pullback, syzygies
@@ -38,6 +42,15 @@ from .standard_basis import (
     local_colength,
     standard_basis,
 )
+
+
+class BruceRoberts(NamedTuple):
+    """The colengths of df(Theta_X), df(Theta_X) + I(X,0) and df(Theta_X) + (f),
+    each an int or INFINITE."""
+
+    mu_br: object
+    mu_br_rel: object
+    tau_br: object
 
 
 class VarietyGerm:
@@ -98,6 +111,33 @@ class VarietyGerm:
     def tangent_module(self) -> Submodule:
         """Theta_X: the module of ambient vector fields tangent to (X,0)."""
         return _compute_theta(self)
+
+    @cached_property
+    def tjurina_colength(self):
+        """Colength in O^k of the n Jacobian columns and the k^2 products
+        f_j * e_l; INFINITE when X has a non-isolated singular locus."""
+        if self._ambient:
+            raise PreconditionViolation("the ambient germ has no Tjurina number")
+        ring, gens, k = self.ring, self.generators, self.k
+        columns = [
+            ModuleElement.from_polynomials([g.derivative(i) for g in gens])
+            for i in range(ring.n)
+        ]
+        trivial = [ModuleElement.unit_vector(ring, k, l) * g for g in gens for l in range(k)]
+        return local_colength(Submodule(ring, k, columns + trivial))
+
+    def bruce_roberts(self, f: Polynomial) -> BruceRoberts:
+        """The Bruce-Roberts numbers of f on X, from one df(Theta_X).
+
+        A number is INFINITE when f is not finitely determined with respect
+        to the coordinate changes preserving X.
+        """
+        image = df_theta(f, self.tangent_module)
+        return BruceRoberts(
+            local_colength(image),
+            local_colength(module_sum(image, self.ideal)),
+            local_colength(module_sum(image, Submodule.ideal(f.ring, [f]))),
+        )
 
     def __repr__(self) -> str:
         if self._ambient:
@@ -186,25 +226,3 @@ def df_theta(f: Polynomial, theta: Submodule) -> Submodule:
         images.append(value)
     return Submodule.ideal(ring, images)
 
-
-def mu_BR(f: Polynomial, X: VarietyGerm):
-    """The Bruce-Roberts number: colength of df(Theta_X).
-
-    INFINITE signals that f is not finitely determined with respect to the
-    coordinate changes preserving X.
-    """
-    image = df_theta(f, X.tangent_module)
-    return local_colength(image)
-
-
-def mu_BR_rel(f: Polynomial, X: VarietyGerm):
-    """The relative Bruce-Roberts number: colength of df(Theta_X) + I(X,0)."""
-    image = df_theta(f, X.tangent_module)
-    return local_colength(module_sum(image, X.ideal))
-
-
-def tau_BR(f: Polynomial, X: VarietyGerm):
-    """The Bruce-Roberts Tjurina number: colength of df(Theta_X) + (f)."""
-    image = df_theta(f, X.tangent_module)
-    enlarged = module_sum(image, Submodule.ideal(f.ring, [f]))
-    return local_colength(enlarged)

@@ -51,7 +51,7 @@ from functools import lru_cache
 from itertools import product as iter_product
 from math import gcd, lcm
 
-from .derlog import VarietyGerm, df_theta
+from .derlog import VarietyGerm
 from .errors import (
     GenericityExhausted,
     ICISViolation,
@@ -66,12 +66,7 @@ from .module_ops import (
     subquotient_dimension,
 )
 from .ring import Polynomial, RingSpec, gradient, restrict_to_hyperplane
-from .standard_basis import (
-    ModuleElement,
-    Submodule,
-    is_finite,
-    local_colength,
-)
+from .standard_basis import Submodule, is_finite, local_colength
 
 GENERIC_COEFF_BOUND = 100
 GENERIC_MAX_ATTEMPTS = 32
@@ -195,35 +190,19 @@ def _slice_milnor(gens: tuple[Polynomial, ...], h: Polynomial) -> int:
 def tjurina_icis(X: VarietyGerm) -> int:
     """Tjurina number of an ICIS: base dimension of a semiuniversal deformation.
 
-    Computed as the colength in O^k of the module spanned by the n Jacobian
-    columns and the k^2 products f_j * e_l.  Once X has the right
-    dimension, the colength is finite exactly when X is isolated
-    (supp T^1_X = Sing X), so an infinite one names a non-isolated
-    singular locus.
+    It is X.tjurina_colength, the colength in O^k of the module spanned by
+    the n Jacobian columns and the k^2 products f_j * e_l, cached on the
+    germ; the ambient germ has none.  Once X has the right dimension, the
+    colength is finite exactly when X is isolated (supp T^1_X = Sing X),
+    so an infinite one names a non-isolated singular locus.
     """
-    if X.is_ambient:
-        raise PreconditionViolation("the ambient germ has no Tjurina number")
     reason = _dimension_reason(X)
     if reason is not None:
         raise ICISViolation(reason)
-    value = _tjurina_cached(X.ring, X.generators)
+    value = X.tjurina_colength
     if not is_finite(value):
         raise ICISViolation(NON_ISOLATED)
     return value
-
-
-@lru_cache(maxsize=None)
-def _tjurina_cached(ring: RingSpec, gens: tuple[Polynomial, ...]):
-    k = len(gens)
-    n = ring.n
-    columns = [
-        ModuleElement.from_polynomials([g.derivative(i) for g in gens])
-        for i in range(n)
-    ]
-    trivial = [
-        ModuleElement.unit_vector(ring, k, l) * g for g in gens for l in range(k)
-    ]
-    return local_colength(Submodule(ring, k, columns + trivial))
 
 
 def generic_slice(X: VarietyGerm, seed: int) -> tuple[Polynomial, int]:
@@ -417,10 +396,7 @@ def derived_invariants(X: VarietyGerm, f: Polynomial, seed: int = 42) -> Invaria
         raise PreconditionViolation(f"the slice by f is not an ICIS ({err.reason})") from err
     _, mu_X_p = generic_slice(X, seed)
 
-    image = df_theta(f, X.tangent_module)
-    mu_br = local_colength(image)
-    mu_br_rel = local_colength(module_sum(image, X.ideal))
-    tau_br = local_colength(module_sum(image, Submodule.ideal(ring, [f])))
+    mu_br, mu_br_rel, tau_br = X.bruce_roberts(f)
     for name, value in (("mu_br", mu_br), ("mu_br_rel", mu_br_rel), ("tau_br", tau_br)):
         if not is_finite(value):
             raise InfiniteColength(f"{name} is infinite for this pair")

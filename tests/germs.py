@@ -1,8 +1,9 @@
 """Shared rings and germ instances for the whole suite.
 
-Instances are module-level singletons on purpose: the tangent-module and
-chain caches live on them, so every test module reuses the same computed
-data instead of redoing the expensive syzygy work.
+Instances are module-level singletons on purpose: the tangent module and
+tau are cached on each germ (the Milnor chain cache is module-level, keyed
+by the generators), so every test module reuses the same computed data
+instead of redoing the expensive syzygy work.
 """
 
 from functools import lru_cache

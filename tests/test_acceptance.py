@@ -26,12 +26,9 @@ from germlab import (
     milnor_hypersurface,
     milnor_icis,
     module_sum,
-    mu_BR,
-    mu_BR_rel,
     product,
     standard_basis,
     subquotient_dimension,
-    tau_BR,
     tjurina_icis,
 )
 from germlab.errors import ICISViolation
@@ -148,7 +145,7 @@ def test_chain_order_independence():
 
 
 def _low_dim_sides(X, f):
-    lhs = mu_BR_rel(f, X)
+    lhs = X.bruce_roberts(f).mu_br_rel
     rhs = milnor_icis(X.generators + (f,)) + milnor_icis(X.generators) - tjurina_icis(X)
     return lhs, rhs
 
@@ -190,7 +187,7 @@ def test_absolute_identity():
             mu_f + milnor_icis(X.generators + (f,)) + milnor_icis(X.generators)
             - tjurina_icis(X) - c1 + c2
         )
-        assert mu_BR(f, X) == expected, name
+        assert X.bruce_roberts(f).mu_br == expected, name
         count += 1
     assert count >= 5
 
@@ -287,12 +284,13 @@ def test_quasihomogeneity_criterion():
     for X, f in quasihomogeneous:
         weights = detect_quasihomogeneous(f, X)
         assert weights is not None and all(w > 0 for w in weights)
-        assert mu_BR(f, X) == tau_BR(f, X)
+        mu_br, _, tau_br = X.bruce_roberts(f)
+        assert mu_br == tau_br
     ambient = VarietyGerm.ambient(R2)
     stubborn = poly("x^3 + y^7 + x*y^5", R2)
     assert detect_quasihomogeneous(stubborn, ambient) is None
-    assert mu_BR(stubborn, ambient) == 12
-    assert tau_BR(stubborn, ambient) == 11
+    mu_br, _, tau_br = ambient.bruce_roberts(stubborn)
+    assert (mu_br, tau_br) == (12, 11)
 
 
 SPHERE_FILE = """\

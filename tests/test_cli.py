@@ -5,9 +5,12 @@ import dataclasses
 import pytest
 
 import germlab.cli as cli
+import germlab.derlog as derlog
 import germlab.invariants as inv
 from germlab import IdentityCheck, derived_invariants, local_colength, step_cap
 from germlab.standard_basis import DEFAULT_MAX_STEPS
+
+from germs import D3_PAIRS
 
 SPHERE = """\
 [ring]
@@ -105,6 +108,24 @@ def test_ambient_report(tmp_path, capsys):
     assert data["check.ambient_bruce_roberts"] == "pass"
 
 
+def test_one_df_theta_per_report(tmp_path, capsys, monkeypatch):
+    # the three Bruce-Roberts numbers share one df(Theta_X)
+    calls = []
+    df_theta = derlog.df_theta
+
+    def counted(f, theta):
+        calls.append(f)
+        return df_theta(f, theta)
+
+    monkeypatch.setattr(derlog, "df_theta", counted)
+    code, out, _ = run(tmp_path, capsys, AMBIENT, "invariants", "--machine")
+    assert code == 0
+    assert len(calls) == 1
+    _, X, f = D3_PAIRS[0]
+    derived_invariants(X, f)
+    assert len(calls) == 2
+
+
 def test_ambient_report_with_non_isolated_function(tmp_path, capsys):
     text = "[ring]\nvariables = x, y\n[variety]\nambient\n[function]\nf = x^2*y\n"
     code, out, _ = run(tmp_path, capsys, text, "invariants", "--machine")
@@ -175,8 +196,9 @@ def test_exit_two_on_non_isolated_hypersurface(tmp_path, capsys, command):
 )
 def test_hypersurface_number_is_one_colength(tmp_path, capsys, monkeypatch, command, g):
     # a finite mu or tau certifies isolatedness: no second colength runs
-    # just to verify the germ (each germ is used only here, so no cache
-    # holds its values)
+    # just to verify the germ (each germ is used only here, so the chain
+    # cache holds none of its values, and tau is cached on the germ that
+    # the run builds)
     calls = []
 
     def counted(module):
@@ -184,6 +206,7 @@ def test_hypersurface_number_is_one_colength(tmp_path, capsys, monkeypatch, comm
         return local_colength(module)
 
     monkeypatch.setattr(inv, "local_colength", counted)
+    monkeypatch.setattr(derlog, "local_colength", counted)
     text = f"[ring]\nvariables = x, y, z\n[variety]\ng1 = {g}\n"
     code, out, err = run(tmp_path, capsys, text, command, "--machine")
     assert code == 0, err
@@ -201,8 +224,9 @@ def test_hypersurface_number_is_one_colength(tmp_path, capsys, monkeypatch, comm
 )
 def test_non_isolated_germ_is_one_colength(tmp_path, capsys, monkeypatch, command, gens):
     # the infinite mu, tau or chain step names the reason itself: no second
-    # colength runs to verify the germ (each germ is used only here, so no
-    # cache holds its values)
+    # colength runs to verify the germ (each germ is used only here, so the
+    # chain cache holds none of its values, and tau is cached on the germ
+    # that the run builds)
     calls = []
 
     def counted(module):
@@ -210,6 +234,7 @@ def test_non_isolated_germ_is_one_colength(tmp_path, capsys, monkeypatch, comman
         return local_colength(module)
 
     monkeypatch.setattr(inv, "local_colength", counted)
+    monkeypatch.setattr(derlog, "local_colength", counted)
     text = f"[ring]\nvariables = x, y, z, w\n[variety]\ng1 = {gens}\n"
     code, out, err = run(tmp_path, capsys, text, command, "--machine")
     assert (code, out) == (2, "")

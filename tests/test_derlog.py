@@ -12,10 +12,7 @@ from germlab import (
     df_theta,
     gradient,
     is_finite,
-    mu_BR,
-    mu_BR_rel,
     standard_basis,
-    tau_BR,
 )
 
 from germlab.derlog import _minimise, _unminimised_theta
@@ -239,24 +236,23 @@ def test_df_theta_of_zero_function_is_zero_ideal():
 
 def test_mu_br_ambient_equals_milnor():
     ambient = VarietyGerm.ambient(R2)
-    assert mu_BR(poly("x^2 + y^2", R2), ambient) == 1
+    assert ambient.bruce_roberts(poly("x^2 + y^2", R2)).mu_br == 1
 
 
 def test_mu_br_on_quadric():
     f = poly("x", R4)
-    assert mu_BR(f, QUADRIC4) == 1
-    assert mu_BR_rel(f, QUADRIC4) == 1
-    assert tau_BR(f, QUADRIC4) == 1
+    assert QUADRIC4.bruce_roberts(f) == (1, 1, 1)
 
 
 def test_mu_br_infinite_when_function_cuts_nothing():
     h = QUADRIC4.generators[0]
-    assert mu_BR(h, QUADRIC4) is INFINITE
-    assert mu_BR_rel(h, QUADRIC4) is INFINITE
+    mu_br, mu_br_rel, _ = QUADRIC4.bruce_roberts(h)
+    assert mu_br is INFINITE
+    assert mu_br_rel is INFINITE
 
 
 def test_mu_br_rel_on_hyperplane_with_unit_image():
-    assert mu_BR_rel(poly("y", R2), LINE) == 0
+    assert LINE.bruce_roberts(poly("y", R2)).mu_br_rel == 0
 
 
 def test_relative_never_exceeds_absolute():
@@ -267,9 +263,7 @@ def test_relative_never_exceeds_absolute():
         (poly("x", R2), NONQH),
     ]
     for f, X in pairs:
-        absolute = mu_BR(f, X)
-        relative = mu_BR_rel(f, X)
-        smaller = tau_BR(f, X)
+        absolute, relative, smaller = X.bruce_roberts(f)
         if is_finite(absolute):
             assert relative <= absolute
             assert smaller <= absolute
@@ -283,11 +277,12 @@ def test_finiteness_co_occurrence():
         (poly("x*y", R2), CROSS),
     ]
     for f, X in pairs:
-        assert is_finite(mu_BR(f, X)) == is_finite(mu_BR_rel(f, X))
+        mu_br, mu_br_rel, _ = X.bruce_roberts(f)
+        assert is_finite(mu_br) == is_finite(mu_br_rel)
 
 
 def test_ambient_curve_numbers():
     ambient = VarietyGerm.ambient(R2)
     f = poly("x^3 + y^7 + x*y^5", R2)
-    assert mu_BR(f, ambient) == 12
-    assert tau_BR(f, ambient) == 11
+    mu_br, _, tau_br = ambient.bruce_roberts(f)
+    assert (mu_br, tau_br) == (12, 11)

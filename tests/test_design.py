@@ -1,7 +1,8 @@
 """Design rules checked on the source: no global statements, no dangling
 exports, one graph-module elimination, a fraction-free reduction loop on
-packed terms, and isolatedness decided once, from the pipeline's own
-colengths."""
+packed terms, isolatedness decided once, from the pipeline's own
+colengths, df(Theta_X) built only by VarietyGerm.bruce_roberts, and no
+module-level cache but the Milnor chain's and the CLI parser's."""
 
 import ast
 from pathlib import Path
@@ -33,11 +34,20 @@ def test_every_export_resolves():
     assert len(set(germlab.__all__)) == len(germlab.__all__)
 
 
-class _BlockCalls(ast.NodeVisitor):
-    """Qualified names of the functions that call standard_basis(..., block=...)."""
+def _name(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
-    def __init__(self, module: str):
+
+def _called_name(call: ast.Call):
+    return _name(call.func)
+
+
+class _Callers(ast.NodeVisitor):
+    """Qualified names of the functions holding a call that `matches`."""
+
+    def __init__(self, module: str, matches):
         self.scope = [module]
+        self.matches = matches
         self.callers = []
 
     def visit_FunctionDef(self, node):
@@ -48,20 +58,46 @@ class _BlockCalls(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
     def visit_Call(self, node):
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if name == "standard_basis" and any(kw.arg == "block" for kw in node.keywords):
+        if self.matches(node):
             self.callers.append(".".join(self.scope))
         self.generic_visit(node)
 
 
-def test_one_graph_module_elimination():
+def _callers(matches) -> list[str]:
     callers = []
     for path, tree in parsed_sources():
-        visitor = _BlockCalls(path.stem)
+        visitor = _Callers(path.stem, matches)
         visitor.visit(tree)
         callers += visitor.callers
+    return callers
+
+
+def test_one_graph_module_elimination():
+    callers = _callers(
+        lambda call: _called_name(call) == "standard_basis"
+        and any(kw.arg == "block" for kw in call.keywords)
+    )
     assert callers == ["module_ops.submodule_pullback"]
+
+
+def test_one_home_for_df_theta():
+    # the three Bruce-Roberts numbers share the one df(Theta_X) it builds
+    assert _callers(lambda call: _called_name(call) == "df_theta") == [
+        "derlog.VarietyGerm.bruce_roberts"
+    ]
+
+
+def test_module_level_caches():
+    # tau and Theta_X are cached on the germ; only these two remain global
+    cached = []
+    for path, tree in parsed_sources():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and any(
+                _name(d.func if isinstance(d, ast.Call) else d) in {"cache", "lru_cache"}
+                for d in node.decorator_list
+            ):
+                cached.append(f"{path.stem}.{node.name}")
+    assert sorted(cached) == ["cli._parser", "invariants._milnor_chain"]
 
 
 def test_reduction_loop_is_fraction_free():
@@ -79,11 +115,6 @@ def test_reduction_loop_is_fraction_free():
                     offenders.append(f"{node.name}:{getattr(inner, 'lineno', node.lineno)}")
     assert kernel == set()
     assert offenders == []
-
-
-def _called_name(call: ast.Call):
-    func = call.func
-    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
 def test_reduction_loop_orders_and_divides_packed_terms():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import germlab.derlog as derlog
 from germlab import (
     INFINITE,
     GenericityExhausted,
@@ -18,11 +19,10 @@ from germlab import (
     generic_slice,
     gradient,
     is_finite,
+    local_colength,
     milnor_hypersurface,
     milnor_icis,
-    mu_BR,
     step_cap,
-    tau_BR,
     tjurina_icis,
     verify_icis,
 )
@@ -264,6 +264,25 @@ def test_tjurina_requires_icis():
         tjurina_icis(germ(R3, "x*y", "x*z"))
     with pytest.raises(PreconditionViolation):
         tjurina_icis(VarietyGerm.ambient(R3))
+
+
+def test_tjurina_is_cached_per_germ(monkeypatch):
+    # tau lives on the germ: one colength per germ, none on a repeat call,
+    # and a second germ with equal generators computes its own
+    calls = []
+
+    def counted(module):
+        calls.append(module)
+        return local_colength(module)
+
+    monkeypatch.setattr(derlog, "local_colength", counted)
+    g = "x^2 + y^3 + z^7 + x*y*z^2"
+    first, second = germ(R3, g), germ(R3, g)
+    assert first.generators == second.generators
+    assert tjurina_icis(first) == tjurina_icis(first)
+    assert len(calls) == 1
+    assert tjurina_icis(second) == tjurina_icis(first)
+    assert len(calls) == 2
 
 
 # ----------------------------------------------------------- generic slices
@@ -546,4 +565,5 @@ def test_quasihomogeneous_pairs_have_equal_br_numbers():
     ]
     for X, f in cases:
         assert detect_quasihomogeneous(f, X) is not None
-        assert mu_BR(f, X) == tau_BR(f, X)
+        mu_br, _, tau_br = X.bruce_roberts(f)
+        assert mu_br == tau_br

@@ -25,12 +25,9 @@ from germlab import (
     milnor_icis,
     module_sum,
     mora_normal_form,
-    mu_BR,
-    mu_BR_rel,
     standard_basis,
     step_cap,
     syzygies,
-    tau_BR,
 )
 from germlab.standard_basis import DEGREE_LIMIT, _Packing
 
@@ -598,12 +595,7 @@ def test_corner_certifies_a_quadric_slice_within_a_rung_eight_budget():
     f = poly("-x^2 + y^2 - 3*z^2 - 2*w^2 - 2*y*w", R4)
     X = SUSPENSION4
     with step_cap(10_000):
-        values = (
-            milnor_icis(X.generators + (f,)),
-            mu_BR(f, X),
-            mu_BR_rel(f, X),
-            tau_BR(f, X),
-        )
+        values = (milnor_icis(X.generators + (f,)), *X.bruce_roberts(f))
     assert values == (19, 21, 20, 18)
 
 
