@@ -757,14 +757,18 @@ def _standard_monomials(leads: list[int], comp: int, packing: _Packing,
     The walk starts at 1 and reaches each monomial a from a - e_j, where j
     is the last nonzero index of a, by adding the packed x_j; since the
     staircase is closed under division, that finds all of it while testing
-    at most n candidates per monomial yielded.  Without `cap` it ends only
-    when the leads contain a pure power of every variable, and a staircase
-    that reaches the degree limit raises instead of wrapping.
+    at most n candidates per monomial yielded.  A candidate a + e_j is
+    tested only against the leads that involve x_j: a lead without x_j
+    that divided it would divide the standard monomial a.  Without `cap`
+    it ends only when the leads contain a pure power of every variable,
+    and a staircase that reaches the degree limit raises instead of
+    wrapping.
     """
     one = packing.pack(comp, (0,) * len(packing.units))
     if cap == 0 or one in leads:
         return
     guards, units = packing.guards, packing.units
+    involving = [[l for l in leads if (l >> s) & _FIELD_MASK] for s in packing.shifts]
     top = DEGREE_LIMIT if cap is None else cap
     stack = [(one, 0, 0)]
     while stack:
@@ -777,7 +781,7 @@ def _standard_monomials(leads: list[int], comp: int, packing: _Packing,
         for j in range(last, len(units)):
             cand = mono + units[j]
             probe = cand | guards
-            if not any((probe - l) & guards == guards for l in leads):
+            if not any((probe - l) & guards == guards for l in involving[j]):
                 stack.append((cand, j, deg + 1))
 
 
@@ -822,29 +826,60 @@ class _Corner:
 _TRUNCATION_LADDER = (2, 3, 4, 6, 8, 12, 16, 20, 24, 28)
 
 
+def _axis_floor(module: Submodule) -> int | None:
+    """The first truncation degree that can certify the colength of
+    `module` (see local_colength), or None when some axis of some
+    component holds no generator term, so the colength is infinite."""
+    orders: dict[tuple[int, int], int] = {}
+    for g in module.generators:
+        for comp, mono in g.terms:
+            support = [i for i, e in enumerate(mono) if e]
+            if len(support) <= 1:
+                e = sum(mono)
+                for i in support or range(len(mono)):
+                    orders[comp, i] = min(e, orders.get((comp, i), e))
+    if len(orders) < module.rank * module.ring.n:
+        return None
+    return max(orders.values()) + 1
+
+
 def local_colength(module: Submodule):
     """Colength of a submodule, computed with certified degree truncation.
 
-    Standard bases are computed modulo m^D for D = 2, 3, 4, 6, 8, 12, ...,
-    28.  A rung is certified when its run ended below D, i.e. when the
-    highest corner appeared (see standard_basis and _Corner): the
-    staircase topped out at a degree d with d + 2 <= D, so m^(d+1) lies
-    in M + m^(d+2) and hence, by Nakayama, in the module M itself, and
-    the count is exact.  A colength whose staircase tops out at degree d
-    is therefore certified at the first rung D >= d + 2: the ideal
-    (x, y^2) at D = 3, a unit module at D = 2.  The low rungs are cheap,
-    and most colengths in practice are small.  If no truncation level
-    certifies (in particular whenever the colength is infinite), the
-    exact untruncated computation decides.  A component that no generator
-    touches makes the colength infinite, and is answered before any rung.
+    Standard bases are computed modulo m^D for the rungs D = 2, 3, 4, 6,
+    8, 12, ..., 28 from a floor on.  A rung is certified when its run
+    ended below D, i.e. when the highest corner appeared (see
+    standard_basis and _Corner): the staircase topped out at a degree d
+    with d + 2 <= D, so m^(d+1) lies in M + m^(d+2) and hence, by
+    Nakayama, in the module M itself, and the count is exact.  A colength
+    whose staircase tops out at degree d is therefore certified at the
+    first rung D >= d + 2: the ideal (x, y^2) at D = 3, a unit module at
+    D = 2.  The low rungs are cheap, and most colengths in practice are
+    small.  If no rung certifies, the exact untruncated computation
+    decides.
+
+    The floor is read off the generators.  Let a be the least e such that
+    some generator has a term x_i^e in component c (e = 0 for a constant
+    term).  Set every variable but x_i to 0: each element of M then has
+    order at least a in component c, and a lead term x_i^e * e_c survives
+    that restriction, so x_i^e * e_c is standard for every e < a.  The
+    staircase tops out at degree a - 1 or above, and no rung D <= a can
+    certify.  The ladder therefore starts at the floor max(a) + 1 over all
+    (i, c), and goes straight to the exact run when the floor is above
+    28; every value is the one the full ladder would certify.  When
+    component c has no pure power of x_i at all, its whole x_i-axis is
+    standard, and the colength is INFINITE without any run.  That covers
+    a component that no generator touches, and a singular locus that
+    contains a coordinate axis.
     """
-    touched = {comp for g in module.generators for comp, _ in g.terms}
-    if len(touched) < module.rank:
+    floor = _axis_floor(module)
+    if floor is None:
         return INFINITE
     for degree in _TRUNCATION_LADDER:
-        basis = standard_basis(module, truncate_degree=degree)
-        if basis.truncated_at < degree:
-            return colength(basis)
+        if degree >= floor:
+            basis = standard_basis(module, truncate_degree=degree)
+            if basis.truncated_at < degree:
+                return colength(basis)
     return colength(standard_basis(module))
 
 

@@ -1,8 +1,9 @@
 """Design rules checked on the source: no global statements, no dangling
-exports, one graph-module elimination, a fraction-free reduction loop on
-packed terms, isolatedness decided once, from the pipeline's own
-colengths, df(Theta_X) built only by VarietyGerm.bruce_roberts, and no
-module-level cache but the Milnor chain's and the CLI parser's."""
+exports, one graph-module elimination, one truncation ladder, a
+fraction-free reduction loop on packed terms, isolatedness decided once,
+from the pipeline's own colengths, df(Theta_X) built only by
+VarietyGerm.bruce_roberts, and no module-level cache but the Milnor
+chain's and the CLI parser's."""
 
 import ast
 from pathlib import Path
@@ -78,6 +79,15 @@ def test_one_graph_module_elimination():
         and any(kw.arg == "block" for kw in call.keywords)
     )
     assert callers == ["module_ops.submodule_pullback"]
+
+
+def test_one_truncation_ladder():
+    # every truncated run starts at local_colength's axis floor
+    callers = _callers(
+        lambda call: _called_name(call) == "standard_basis"
+        and any(kw.arg == "truncate_degree" for kw in call.keywords)
+    )
+    assert callers == ["standard_basis.local_colength"]
 
 
 def test_one_home_for_df_theta():

@@ -29,7 +29,7 @@ from germlab import (
     step_cap,
     syzygies,
 )
-from germlab.standard_basis import DEGREE_LIMIT, _Packing
+from germlab.standard_basis import DEGREE_LIMIT, _TRUNCATION_LADDER, _Packing, _axis_floor
 
 import _oracle as oracle
 import germs
@@ -479,6 +479,30 @@ def test_local_colength_falls_back_on_infinite():
     assert local_colength(ideal(R3, "x*y", "x*z")) is INFINITE
 
 
+@pytest.fixture
+def runs(monkeypatch):
+    """The truncate_degree of every standard basis local_colength runs."""
+    # the package re-exports the function under the submodule's name
+    sb = importlib.import_module("germlab.standard_basis")
+    recorded = []
+
+    def recorder(module, **kwargs):
+        recorded.append(kwargs.get("truncate_degree"))
+        return standard_basis(module, **kwargs)
+
+    monkeypatch.setattr(sb, "standard_basis", recorder)
+    return recorded
+
+
+def test_empty_axis_is_infinite_before_any_rung(runs):
+    # no generator has a pure power of y, so the whole y-axis is standard;
+    # the second ideal is the Jacobian of the non-isolated x^2*y + z^2 + w^2
+    with step_cap(1):
+        assert local_colength(ideal(R3, "x*y", "x*z")) is INFINITE
+        assert local_colength(ideal(R4, "2*x*y", "x^2", "2*z", "2*w")) is INFINITE
+    assert runs == []
+
+
 def test_untouched_component_is_infinite_before_any_rung():
     # zero in component 2, so the colength is infinite; the ladder used to
     # climb every rung on it, and rung 28 ran out of memory before a
@@ -532,19 +556,63 @@ def test_local_colength_beyond_first_truncation_rungs():
     assert local_colength(module) == 28
 
 
-def test_local_colength_certifies_small_colengths_at_low_rungs(monkeypatch):
-    # the package re-exports the function under the submodule's name
-    sb = importlib.import_module("germlab.standard_basis")
-    rungs = []
-
-    def recorder(module, **kwargs):
-        rungs.append(kwargs.get("truncate_degree"))
-        return standard_basis(module, **kwargs)
-
-    monkeypatch.setattr(sb, "standard_basis", recorder)
+def test_local_colength_certifies_small_colengths_at_low_rungs(runs):
     assert local_colength(ideal(R2, "x", "y^2")) == 2
     # the staircase {1, y} has top degree 1, certified once 1 + 2 <= D
-    assert rungs[-1] is not None and rungs[-1] <= 4
+    assert runs[-1] is not None and runs[-1] <= 4
+
+
+def test_a_floor_above_the_ladder_runs_only_the_exact_basis(runs):
+    # the Jacobian of T_{3,4,30} + w^2 holds 30*z^29 and no lower power of
+    # z, so z^28 is standard and no rung up to 29 can certify
+    f = poly("x^3 + y^4 + z^30 + x*y*z + w^2", R4)
+    jacobian = Submodule.ideal(R4, [f.derivative(i) for i in range(4)])
+    assert local_colength(jacobian) == 3 + 4 + 30 - 1
+    assert runs == [None]
+
+
+def test_the_axis_floor_of_a_module_reads_every_component():
+    assert _axis_floor(ideal(R2, "x^3 + y", "y^2 + x*y")) == 4
+    assert _axis_floor(ideal(R2, "1 + x*y")) == 1
+    rows = (("x", "0"), ("y^5", "x*y"), ("0", "y + x^2"))
+    assert _axis_floor(Submodule(R2, 2, [element(R2, *r) for r in rows])) == 6
+    assert _axis_floor(Submodule(R2, 2, [element(R2, *r) for r in rows[1:]])) is None
+
+
+small_modules = st.integers(1, 2).flatmap(
+    lambda m: st.tuples(
+        st.lists(st.lists(small_polys, min_size=m, max_size=m), min_size=1, max_size=3),
+        st.lists(st.integers(0, 6), min_size=2 * m, max_size=2 * m),
+    )
+)
+
+
+@given(small_modules)
+def test_rungs_below_the_axis_floor_never_certify(case):
+    # random ideals and rank-2 modules plus, for each component c and
+    # variable x_i, a pure power x_i^e * e_c unless e = 0: the added powers
+    # make the axes short and the colength often finite
+    rows, exponents = case
+    rank = len(rows[0])
+    gens = [ModuleElement.from_polynomials(polys) for polys in rows]
+    for k, e in enumerate(exponents):
+        if e:
+            comp, i = divmod(k, 2)
+            gens.append(ModuleElement(R2, rank, {(comp, (e, 0) if i == 0 else (0, e)): 1}))
+    module = Submodule(R2, rank, gens)
+    floor = _axis_floor(module)
+    try:
+        with step_cap(2_000):
+            value = local_colength(module)
+            exact = colength(standard_basis(module))
+            for degree in _TRUNCATION_LADDER:
+                if floor is None or degree < floor:
+                    assert standard_basis(module, truncate_degree=degree).truncated_at == degree
+    except ReductionLimitExceeded:
+        reject()
+    assert value == exact
+    if value is not INFINITE:
+        assert value == oracle.truncated_colength(2, rank, [dict(g.terms) for g in gens])
 
 
 def test_local_colength_matches_exact_on_bruce_roberts_modules():
