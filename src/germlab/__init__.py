@@ -47,14 +47,12 @@ from .ring import Monomial, Polynomial, RingSpec, format_polynomial, gradient
 from .standard_basis import (
     INFINITE,
     ModuleElement,
-    MoraCertificate,
     StandardBasis,
     Submodule,
     colength,
     is_finite,
     krull_dimension,
     local_colength,
-    mora_normal_form,
     standard_basis,
     step_cap,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "InvariantReport",
     "ModuleElement",
     "Monomial",
-    "MoraCertificate",
     "ParseError",
     "Polynomial",
     "PreconditionViolation",
@@ -100,7 +97,6 @@ __all__ = [
     "milnor_hypersurface",
     "milnor_icis",
     "module_sum",
-    "mora_normal_form",
     "parse_polynomial",
     "parse_problem_file",
     "product",

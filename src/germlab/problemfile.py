@@ -70,6 +70,7 @@ def _parse_expression(text: str, ring: RingSpec, line_no: int, col: int) -> Poly
 def parse_problem_file(text: str) -> ProblemFile:
     """Parse a problem file; raise ParseError with line/column on bad input."""
     sections: dict[str, list[tuple[int, str]]] = {}
+    headers: dict[str, int] = {}
     current: str | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -82,6 +83,7 @@ def parse_problem_file(text: str) -> ProblemFile:
             if name in sections:
                 raise ParseError(f"duplicate section [{name}]", line_no, 1)
             sections[name] = []
+            headers[name] = line_no
             current = name
             continue
         if current is None:
@@ -92,14 +94,14 @@ def parse_problem_file(text: str) -> ProblemFile:
     if "variety" not in sections:
         raise ParseError("missing [variety] section", 1, 1)
 
-    ring = _parse_ring_section(sections["ring"])
-    generators, ambient = _parse_variety_section(sections["variety"], ring)
-    function = _parse_function_section(sections.get("function"), ring)
+    ring = _parse_ring_section(sections["ring"], headers["ring"])
+    generators, ambient = _parse_variety_section(sections["variety"], headers["variety"], ring)
+    function = _parse_function_section(sections.get("function"), headers.get("function"), ring)
     seed = _parse_options_section(sections.get("options"))
     return ProblemFile(ring, tuple(generators), ambient, function, seed)
 
 
-def _parse_ring_section(entries) -> RingSpec:
+def _parse_ring_section(entries, header: int) -> RingSpec:
     variables = None
     for line_no, raw in entries:
         key, value, col = _split_entry(raw, line_no)
@@ -113,13 +115,13 @@ def _parse_ring_section(entries) -> RingSpec:
         except ValueError as err:
             raise ParseError(str(err), line_no, col) from None
     if variables is None:
-        raise ParseError("the [ring] section needs a 'variables' entry", 1, 1)
+        raise ParseError("the [ring] section needs a 'variables' entry", header, 1)
     return variables
 
 
-def _parse_variety_section(entries, ring: RingSpec):
+def _parse_variety_section(entries, header: int, ring: RingSpec):
     if not entries:
-        raise ParseError("the [variety] section is empty", 1, 1)
+        raise ParseError("the [variety] section is empty", header, 1)
     first_no, first_raw = entries[0]
     if first_raw.strip() == "ambient":
         if len(entries) > 1:
@@ -142,7 +144,7 @@ def _parse_variety_section(entries, ring: RingSpec):
     return generators, False
 
 
-def _parse_function_section(entries, ring: RingSpec) -> Polynomial | None:
+def _parse_function_section(entries, header: int | None, ring: RingSpec) -> Polynomial | None:
     if entries is None:
         return None
     function = None
@@ -158,7 +160,7 @@ def _parse_function_section(entries, ring: RingSpec) -> Polynomial | None:
         if function.constant_term():
             raise ParseError("the function does not vanish at the origin", line_no, col)
     if function is None:
-        raise ParseError("the [function] section needs an 'f' entry", 1, 1)
+        raise ParseError("the [function] section needs an 'f' entry", header, 1)
     return function
 
 

@@ -144,9 +144,6 @@ class Polynomial:
             return 0
         return max(sum(m) for m in self.terms)
 
-    def monomials(self) -> list[Monomial]:
-        return list(self.terms)
-
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other) -> Polynomial:

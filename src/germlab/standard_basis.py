@@ -4,12 +4,13 @@ Elements of a free module O^m are stored as dicts mapping (component,
 monomial) pairs to nonzero Fraction coefficients.  The kernel inside is
 fraction-free: `_primitive` scales each input to the primitive integer
 vector on its ray, the reduction loop works with Python ints only, and
-`_rational` gives results their Fraction coefficients back at the
-`ModuleElement` boundary.  Each reduction step scales the working vector
-by a positive integer and then divides it by the gcd of its coefficients,
-so it is always the primitive vector on the ray of the rational
-remainder: coefficients never grow beyond what that vector needs (the
-primitive-remainder idea), and signs are those of rational arithmetic.
+`_rational` gives the elements of a standard basis their Fraction
+coefficients back at the `ModuleElement` boundary.  Each reduction step
+scales the working vector by a positive integer and then divides it by
+the gcd of its coefficients, so it is always the primitive vector on the
+ray of the rational remainder: coefficients never grow beyond what that
+vector needs (the primitive-remainder idea), and signs are those of
+rational arithmetic.
 
 Monomials are ordered by negative-degree reverse-lexicographic order
 (`ring.negdegrevlex_key`), a local order: 1 beats every variable.  The
@@ -51,15 +52,11 @@ raises DegreeLimitExceeded instead of wrapping into the next field.
 Division is Mora's variant: a reduction may recruit an earlier partial
 remainder as a new reducer when every divisor of the lead term has larger
 ecart, which is exactly what makes the loop terminate for local orders.
-The price is that the quotient identity holds only up to a unit u with
-u(0) != 0:
-
-    u * f  =  sum_i q_i * g_i  +  remainder.
-
-The reduction loop tracks nothing but the remainder.  `mora_normal_form`
-reads u and the q_i off one normal form in a graph module, where they are
-components of the remainder itself, so callers can re-check the identity
-exactly.
+The remainder r of f against generators g_i of M then satisfies
+u * f = sum_i q_i * g_i + r only for some unit u with u(0) != 0.  The
+reduction loop tracks nothing but r, and r = 0 still decides membership:
+it means u * f lies in M, and u is invertible in the local ring, so f
+lies in M.
 
 Colength and Krull dimension are read off the lead-term module of a
 standard basis: the monomials (with component) outside it form a vector
@@ -67,10 +64,10 @@ space basis of the quotient.
 
 The kernel has two settings.  `standard_basis(module, block=...)` picks
 the module order: term-over-position by default, block-eliminating for
-submodule pullbacks.  `step_cap(limit)` bounds
-the reduction steps of every standard-basis run and normal form started
-inside it; the cap is held in a context variable, so leaving the scope
-restores the previous one.
+submodule pullbacks.  `step_cap(limit)` bounds the reduction steps of
+every standard-basis run and membership test started inside it; the cap
+is held in a context variable, so leaving the scope restores the
+previous one.
 """
 
 from __future__ import annotations
@@ -99,8 +96,8 @@ _STEP_CAP: ContextVar[int] = ContextVar("step_cap", default=DEFAULT_MAX_STEPS)
 
 @contextmanager
 def step_cap(limit: int):
-    """Cap the reduction steps of each standard-basis run or normal form
-    started inside the `with` block; the previous cap returns on exit."""
+    """Cap the reduction steps of each standard-basis run or membership
+    test started inside the `with` block; the previous cap returns on exit."""
     token = _STEP_CAP.set(limit)
     try:
         yield
@@ -427,9 +424,11 @@ def _normalize(vec: IntVec):
     Keeping every working remainder primitive is what prevents the
     geometric coefficient swell of naive division chains (the
     primitive-remainder-sequence idea).  The gcd is positive, so the
-    vector stays on its ray.  No scalar is carried: a weak normal form
-    is only defined up to a unit, and the certificate of
-    `mora_normal_form` is part of the vector being scaled.
+    vector stays on its ray.  No scalar is carried.  Recruits make the
+    loop terminate, and with them the remainder r satisfies u*f =
+    sum_i q_i*g_i + r only for some unknown unit u, so r is defined only
+    up to a unit anyway.  A zero r means u*f lies in M, and in the local
+    ring that means f lies in M.
     """
     g = gcd(*vec.values())
     if g != 1:
@@ -454,12 +453,6 @@ def _rational(vec: IntVec, packing: _Packing) -> Vec:
     """An integer vector back on (component, monomial) terms with the
     Fraction coefficients of a ModuleElement."""
     return {packing.unpack(t): Fraction(c) for t, c in vec.items()}
-
-
-def _make_entry(terms: Vec, packing: _Packing) -> _Entry:
-    vec = _primitive(terms, packing)
-    lt = min(vec)
-    return _Entry(vec, lt, vec[lt], packing.max_degree(vec) - packing.degree(lt))
 
 
 def _mora_nf(f_vec: IntVec, entries: list[_Entry], packing: _Packing, budget: _Budget,
@@ -502,86 +495,15 @@ def _mora_nf(f_vec: IntVec, entries: list[_Entry], packing: _Packing, budget: _B
     return h
 
 
-class MoraCertificate:
-    """Unit and quotients witnessing a weak normal form.
-
-    For input f, generators g_1..g_s and remainder r the certificate
-    satisfies unit*f = sum_i quotients[i]*g_i + r with unit(0) != 0.
-    """
-
-    __slots__ = ("unit", "quotients")
-
-    def __init__(self, unit: Polynomial, quotients: tuple[Polynomial, ...]):
-        self.unit = unit
-        self.quotients = quotients
-
-    def verify(self, f: ModuleElement, gens: Sequence[ModuleElement], remainder: ModuleElement) -> bool:
-        if not self.unit.constant_term():
-            return False
-        acc = f * self.unit - remainder
-        for q, g in zip(self.quotients, gens):
-            acc = acc - g * q
-        return acc.is_zero()
-
-    def __repr__(self) -> str:
-        return f"MoraCertificate(unit={self.unit!r})"
-
-
-def mora_normal_form(
-    f: ModuleElement, gens: Sequence[ModuleElement]
-) -> tuple[ModuleElement, MoraCertificate]:
-    """Weak normal form of f against gens, with its unit certificate.
-
-    No lead term of the remainder is divisible by a lead term of gens in
-    the matching component (term-over-position order).
-
-    The certificate is read off one normal form in the graph module
-    O^(rank+1+s), s = len(gens): f becomes F = (f | 1 | 0) and each
-    nonzero g_i becomes G_i = (g_i | 0 | e_i), under the block order with
-    `block=rank`, which eliminates the first block and orders it term-over-position.
-    Every working vector is an O-combination u*F - sum_i q_i*G_i, that is
-    (u*f - sum_i q_i*g_i | u | -q).  While the first block is nonzero it
-    holds the lead, so each step reduces it against gens (the ecart counts
-    the whole vector), and the loop stops there when no lead of gens
-    divides it.  Once the block is zero the lead is a tag term, which no
-    reducer lead matches (every reducer has its lead in the first block),
-    so the loop stops as well.  Either way it ends at (r | u | -q) with
-    u*f = sum_i q_i*g_i + r.
-
-    u(0) != 0: u starts at 1 and the G_i have no u-part, so only recruits
-    change u.  A recruit is a snapshot of the working vector when its
-    lead was L; it reduces only a later lead L', which is strictly
-    smaller than L (each step cancels the lead) and divisible by it, so
-    it is used times the monomial L'/L of positive degree and leaves u(0)
-    unchanged.  Content normalization and the integer steps of `_mora_nf`
-    only rescale u(0) by positive factors.
-    """
-    ring, rank, s = f.ring, f.rank, len(gens)
-    for g in gens:
-        if g.ring != ring or g.rank != rank:
-            raise ValueError("generators live in different modules")
-    zero = ring.zero_monomial()
-    packing = _Packing(ring.n, rank + 1 + s, rank)
-    entries = [
-        _make_entry({**g.terms, (rank + 1 + i, zero): _ONE}, packing)
-        for i, g in enumerate(gens) if g.terms
-    ]
-    budget = _Budget(f"in a normal form of rank {rank} against {s} generators")
-    graph = _mora_nf(_primitive({**f.terms, (rank, zero): _ONE}, packing), entries, packing, budget)
-    comps = ModuleElement._raw(ring, rank + 1 + s, _rational(graph, packing)).components
-    certificate = MoraCertificate(comps[rank], tuple(-q for q in comps[rank + 1:]))
-    return ModuleElement.from_polynomials(comps[:rank]), certificate
-
-
 class StandardBasis:
     """A standard basis of a submodule under a fixed module order.
 
     `packing` is the `_Packing` of the run that computed the basis; it
-    also packs the terms of its normal forms.  Every input generator
+    also packs the elements tested by `contains`.  Every input generator
     reduces to zero against `elements`, and the S-element of every
     critical pair of `elements` does as well.  A
     basis computed with `truncated_at=D` is one of module + m^D * O^rank
-    and refuses membership queries.  Normal forms reduce against
+    and refuses membership queries.  Membership tests reduce against
     `entries`, the integer reducers of the run that computed the basis.
     """
 
@@ -595,8 +517,9 @@ class StandardBasis:
         self.truncated_at = truncated_at
         self._entries = list(entries)
 
-    def normal_form(self, f: ModuleElement) -> ModuleElement:
-        """Weak normal form of f against the basis (no certificate)."""
+    def contains(self, f: ModuleElement) -> bool:
+        """Whether f lies in the module: its weak normal form against the
+        basis is zero (see the module docstring)."""
         if self.truncated_at is not None:
             raise ValueError("membership needs an untruncated standard basis")
         if f.ring != self.ambient.ring or f.rank != self.ambient.rank:
@@ -606,11 +529,7 @@ class StandardBasis:
             f"{len(self._entries)} elements"
         )
         packing = self.packing
-        rem = _mora_nf(_primitive(f.terms, packing), self._entries, packing, budget)
-        return ModuleElement._raw(f.ring, f.rank, _rational(rem, packing))
-
-    def contains(self, f: ModuleElement) -> bool:
-        return self.normal_form(f).is_zero()
+        return not _mora_nf(_primitive(f.terms, packing), self._entries, packing, budget)
 
     def __repr__(self) -> str:
         return f"StandardBasis(rank={self.ambient.rank}, size={len(self.elements)})"

@@ -1,9 +1,9 @@
 """Design rules checked on the source: no global statements, no dangling
-exports, one graph-module elimination, one truncation ladder, a
-fraction-free reduction loop on packed terms, isolatedness decided once,
-from the pipeline's own colengths, df(Theta_X) built only by
-VarietyGerm.bruce_roberts, and no module-level cache but the Milnor
-chain's and the CLI parser's."""
+or unused exports, one graph-module elimination, one truncation ladder,
+membership as the only normal-form query, a fraction-free reduction loop
+on packed terms, isolatedness decided once, from the pipeline's own
+colengths, df(Theta_X) built only by VarietyGerm.bruce_roberts, and no
+module-level cache but the Milnor chain's and the CLI parser's."""
 
 import ast
 from pathlib import Path
@@ -33,6 +33,47 @@ def test_every_export_resolves():
     missing = [name for name in germlab.__all__ if not hasattr(germlab, name)]
     assert missing == []
     assert len(set(germlab.__all__)) == len(germlab.__all__)
+
+
+# exports that no code in the package uses, each kept for a reason
+UNUSED_EXPORTS = {
+    "verify_icis": "the independent ICIS route the tests compare the pipeline against",
+    "detect_quasihomogeneous": "the weights of the quasihomogeneous checks ROADMAP.md plans",
+}
+
+
+class _References(ast.NodeVisitor):
+    """Names loaded anywhere outside the definition of that same name."""
+
+    def __init__(self):
+        self.scope = []
+        self.names = set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and node.id not in self.scope:
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        if node.attr not in self.scope:
+            self.names.add(node.attr)
+        self.generic_visit(node)
+
+
+def test_every_export_is_used_by_the_package():
+    # re-exporting a name in __init__ does not count as a use
+    references = _References()
+    for path, tree in parsed_sources():
+        if path.name != "__init__.py":
+            references.visit(tree)
+    unused = set(germlab.__all__) - references.names
+    assert unused == set(UNUSED_EXPORTS)
 
 
 def _name(node):
@@ -88,6 +129,16 @@ def test_one_truncation_ladder():
         and any(kw.arg == "truncate_degree" for kw in call.keywords)
     )
     assert callers == ["standard_basis.local_colength"]
+
+
+def test_membership_is_the_only_normal_form_query():
+    # a weak normal form never leaves the kernel: a standard-basis run
+    # reduces its S-elements, and contains only asks whether f reduces to 0
+    callers = _callers(lambda call: _called_name(call) == "_mora_nf")
+    assert sorted(callers) == [
+        "standard_basis.StandardBasis.contains",
+        "standard_basis.standard_basis",
+    ]
 
 
 def test_one_home_for_df_theta():

@@ -48,7 +48,10 @@ def test_generator_order_preserved():
         ("[ring]\nvariables = x\n", "missing [variety]", 1),
         ("[ring]\nvariables = x\n[ring]\nvariables = y\n", "duplicate section", 3),
         ("[ring]\nvariables = x, x\n[variety]\ng = x\n", "distinct", 2),
-        ("[ring]\nvariables = x\n[variety]\n", "empty", 1),
+        ("[ring]\nvariables = x\n[variety]\n", "empty", 3),
+        ("[ring]\n[variety]\ng = x\n", "needs a 'variables' entry", 1),
+        ("[variety]\ng = x\n\n[ring]\n", "needs a 'variables' entry", 4),
+        ("[ring]\nvariables = x\n[variety]\ng = x\n[function]\n", "needs an 'f' entry", 5),
         ("[ring]\nvariables = x\n[variety]\nambient\ng = x\n", "ambient", 5),
         ("[ring]\nvariables = x\n[variety]\ng = y\n", "unknown variable", 4),
         ("[ring]\nvariables = x\n[variety]\ng = x - x\n", "zero", 4),

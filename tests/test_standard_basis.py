@@ -1,13 +1,12 @@
-"""Mora normal forms, standard bases, colengths and dimensions."""
+"""Standard bases, membership, colengths and dimensions."""
 
 import hashlib
 import importlib
-import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, reject, strategies as st
+from hypothesis import example, given, reject, strategies as st
 
 from germlab import (
     INFINITE,
@@ -24,7 +23,6 @@ from germlab import (
     local_colength,
     milnor_icis,
     module_sum,
-    mora_normal_form,
     standard_basis,
     step_cap,
     syzygies,
@@ -52,138 +50,12 @@ def element(ring, *exprs):
     return ModuleElement.from_polynomials([poly(e, ring) for e in exprs])
 
 
-# ---------------------------------------------------------------- normal form
-
-
-def test_nf_unit_absorbs_tail():
-    f = element(R1, "x^2")
-    g = element(R1, "x^2 + x^3")
-    rem, cert = mora_normal_form(f, [g])
-    assert rem.is_zero()
-    assert cert.unit == poly("1 + x", R1)
-    assert cert.verify(f, [g], rem)
-
-
-def test_nf_lead_not_divisible():
-    rem, cert = mora_normal_form(element(R1, "x"), [element(R1, "x^2")])
-    assert rem == element(R1, "x")
-    assert cert.verify(element(R1, "x"), [element(R1, "x^2")], rem)
-
-
-def test_nf_exact_division():
-    f = element(R1, "x^3 + x")
-    rem, cert = mora_normal_form(f, [element(R1, "x")])
-    assert rem.is_zero()
-    assert cert.verify(f, [element(R1, "x")], rem)
-
-
-def test_nf_of_zero():
-    rem, cert = mora_normal_form(ModuleElement.zero(R2, 1), [element(R2, "x")])
-    assert rem.is_zero()
-    assert cert.unit.constant_term() == 1
-
-
-def test_nf_remainder_lead_not_reducible():
-    gens = [element(R2, "x^2 - y^3"), element(R2, "x*y")]
-    f = element(R2, "x^3 + x^2*y + y^5 + x")
-    rem, cert = mora_normal_form(f, gens)
-    assert cert.verify(f, gens, rem)
-    assert cert.unit.constant_term() != 0
-    assert not rem.is_zero()
-    key = oracle.term_key()
-    comp, mono = max(rem.terms, key=key)
-    for g in gens:
-        gc, gm = max(g.terms, key=key)
-        assert not (gc == comp and all(a <= b for a, b in zip(gm, mono)))
-
-
-def test_nf_certificate_in_a_module_with_zero_generators():
-    # the quotient of a zero generator is zero, and indices follow the input list
-    gens = [
-        ModuleElement.zero(R2, 2),
-        element(R2, "x^2 + x^3", "y"),
-        ModuleElement.zero(R2, 2),
-        element(R2, "x*y", "0"),
-    ]
-    f = element(R2, "x^2 + x^2*y", "y + x*y^2")
-    rem, cert = mora_normal_form(f, gens)
-    assert cert.verify(f, gens, rem)
-    assert len(cert.quotients) == 4
-    assert cert.quotients[0].is_zero() and cert.quotients[2].is_zero()
-
-
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 monos2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
 small_polys = st.dictionaries(monos2, coeffs, min_size=0, max_size=3).map(
     lambda d: Polynomial(R2, d)
 )
-
-
-@given(st.lists(small_polys, min_size=2, max_size=3))
-def test_nf_certificate_identity(multipliers):
-    # non-monic generators on purpose: quotients must absorb the lead scales
-    gens = [element(R2, "3*x^2 + x*y^2"), element(R2, "2*y^3 - x^3"), element(R2, "x*y")]
-    f = ModuleElement.zero(R2, 1)
-    for q, g in zip(multipliers, gens):
-        f = f + g * q
-    rem, cert = mora_normal_form(f, gens)
-    assert cert.verify(f, gens, rem)
-    assert cert.unit.constant_term() != 0
-
-
-def lead(el):
-    return max(el.terms, key=oracle.term_key())
-
-
 small_elements2 = st.tuples(small_polys, small_polys).map(ModuleElement.from_polynomials)
-
-
-@given(small_elements2, st.lists(small_elements2, min_size=1, max_size=3))
-def test_nf_certificate_on_random_rank_two_generators(f, gens):
-    rem, cert = mora_normal_form(f, gens)
-    assert cert.verify(f, gens, rem)
-    assert cert.unit.constant_term() != 0
-    if rem:
-        comp, mono = lead(rem)
-        for g in gens:
-            if g:
-                gc, gm = lead(g)
-                assert not (gc == comp and all(a <= b for a, b in zip(gm, mono)))
-
-
-def test_nf_rejects_generators_of_another_module():
-    f = element(R2, "x^2 + y")
-    for g in (element(R2, "x", "y"), element(R1, "x")):
-        with pytest.raises(ValueError, match="different modules"):
-            mora_normal_form(f, [element(R2, "y^2"), g])
-
-
-# Remainders and certificates recorded with rational division, for
-# generators with negative lead coefficients: an integer reduction step
-# that scaled the working vector by a negative factor would flip the
-# signs of the remainder and the unit.
-PINNED_NORMAL_FORMS = [
-    (("x^2*y + 3*y^3 - x^4",), [("-2*x^2 + y^3",), ("-3*x*y + x^3",)],
-     "(6*y^3 - 2*x^4 + y^4)", "2", ["-y", "0"]),
-    (("x^3",), [("-2*x^2 - 3*x^3",)], "(0)", "2 + 3*x", ["-x"]),
-    (("5*x*y^2 - y^5",), [("-7/2*x*y + 2*x^3",), ("-3*y^2 - x*y^3 + x^4",)],
-     "(80*x^5 - 49*y^5)", "49", ["-70*y - 40*x^2", "0"]),
-    (("y", "x^2"), [("-y + x*y", "x^3")], "(x*y, x^2 + x^3)", "1", ["-1"]),
-    (("3*x*y", "-y^2 + x^3"), [("-2*x", "y"), ("x^2*y", "-5*y^2 + y^3")],
-     "(x^2*y, 10*x^3 + y^3)", "10", ["-15*y", "-1"]),
-    (("2*x*y - y^3", "-x^2"), [("-3*y + x*y^2", "x"), ("-x^2", "-2*x + y^3")],
-     "(-x*y - y^3 + x^2*y^2, 0)", "1", ["-x", "0"]),
-]
-
-
-@pytest.mark.parametrize("f, gens, remainder, unit, quotients", PINNED_NORMAL_FORMS)
-def test_nf_is_pinned_for_negative_lead_coefficients(f, gens, remainder, unit, quotients):
-    f, gens = element(R2, *f), [element(R2, *g) for g in gens]
-    rem, cert = mora_normal_form(f, gens)
-    assert (str(rem), str(cert.unit), [str(q) for q in cert.quotients]) == (
-        remainder, unit, quotients
-    )
-    assert cert.verify(f, gens, rem)
 
 
 # ------------------------------------------------------------- standard bases
@@ -198,6 +70,16 @@ def test_unit_factor_membership():
     basis = ideal_basis(R1, "x^2 + x^3")
     assert basis.lead_terms == ((0, (2,)),)
     assert basis.contains(element(R1, "x^2"))
+    assert basis.contains(ModuleElement.zero(R1, 1))
+    assert not basis.contains(element(R1, "x"))
+    assert ideal_basis(R1, "x").contains(element(R1, "x^3 + x"))
+
+
+def test_membership_rejects_elements_of_another_module():
+    basis = ideal_basis(R2, "x", "y^2")
+    for f in (element(R2, "x", "y"), element(R1, "x")):
+        with pytest.raises(ValueError, match="ambient module"):
+            basis.contains(f)
 
 
 def test_lead_module_of_curve_ideal():
@@ -211,7 +93,7 @@ def test_inputs_reduce_to_zero_and_s_elements_vanish():
     module = ideal(R3, "x^2 + y^3", "x*y - z^3", "y*z + x^2")
     basis = standard_basis(module)
     for g in module.generators:
-        assert basis.normal_form(g).is_zero()
+        assert basis.contains(g)
     # Buchberger-Mora criterion on the output itself
     for i, a in enumerate(basis.elements):
         for b in basis.elements[:i]:
@@ -223,23 +105,47 @@ def test_inputs_reduce_to_zero_and_s_elements_vanish():
             sa = Polynomial.term(R3, tuple(l - x for l, x in zip(lcm, ma)), 1)
             sb = Polynomial.term(R3, tuple(l - x for l, x in zip(lcm, mb)), 1)
             s = a * sa - b * sb
-            assert basis.normal_form(s).is_zero()
+            assert basis.contains(s)
 
 
-def test_membership_soundness_random_combinations():
-    rng = random.Random(11)
+small_multipliers3 = st.dictionaries(
+    st.sampled_from([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]),
+    st.integers(-4, 4),
+    max_size=2,
+).map(lambda d: Polynomial(R3, d))
+
+
+@given(
+    st.lists(st.tuples(small_elements2, small_polys), min_size=1, max_size=3),
+    st.lists(small_multipliers3, min_size=3, max_size=3),
+)
+@example(
+    # a membership test that recruits a remainder
+    [
+        (element(R2, "2*x + 4/3*x^2 + 5*x^2*y^3", "0"), poly("2*x*y^2 - 15/4*x*y^3", R2)),
+        (element(R2, "3*y^2 + 5/4*x*y^2 - 9/2*x^2*y^3", "13/4*x*y^3 + 5*x^3*y^2"),
+         poly("-x*y", R2)),
+        (element(R2, "4*x*y", "0"), poly("0", R2)),
+    ],
+    [Polynomial(R3)] * 3,
+)
+def test_membership_soundness_random_combinations(rank_two, multipliers):
+    # every combination of the generators is a member: of random rank-2
+    # generators, whose reductions may recruit remainders, and of a fixed
+    # ideal
     module = ideal(R3, "x^2 - y*z", "y^2 + z^3", "x*z")
-    basis = standard_basis(module)
-    monos = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
-    for _ in range(25):
-        f = ModuleElement.zero(R3, 1)
-        for g in module.generators:
-            q = Polynomial(
-                R3,
-                {random.choice(monos): rng.randint(-4, 4) for _ in range(rng.randint(0, 2))},
-            )
-            f = f + g * q
-        assert basis.normal_form(f).is_zero()
+    f = ModuleElement.zero(R3, 1)
+    for q, g in zip(multipliers, module.generators):
+        f = f + g * q
+    assert standard_basis(module).contains(f)
+    f = ModuleElement.zero(R2, 2)
+    for g, q in rank_two:
+        f = f + g * q
+    try:
+        with step_cap(200):
+            assert standard_basis(Submodule(R2, 2, [g for g, _ in rank_two])).contains(f)
+    except ReductionLimitExceeded:
+        reject()
 
 
 nonzero_scales = st.fractions(
@@ -308,16 +214,12 @@ def test_step_cap_restores_the_previous_cap():
 
 def test_step_limit_error_names_what_ran_out():
     module = ideal(R3, "x^2 + y^3", "x*y - z^3", "y*z + x^2")
-    gens = [element(R2, "x^2 - y^3"), element(R2, "x*y")]
-    f = element(R2, "x^3 + x^2*y + y^5 + x^2")
     columns = [element(R2, "x^2", "y"), element(R2, "x*y", "x"), element(R2, "y^2", "x*y")]
     runs = [
         (lambda: standard_basis(module),
          "aborted after 2 reduction steps in a standard basis of rank 1 with 3 generators;"),
         (lambda: standard_basis(module, truncate_degree=8),
          "in a standard basis of rank 1 with 3 generators, truncated at degree 8;"),
-        (lambda: mora_normal_form(f, gens),
-         "aborted after 2 reduction steps in a normal form of rank 1 against 2 generators;"),
         # the graph module of three rank-2 generators has rank 2 + 3
         (lambda: syzygies(columns), "in a standard basis of rank 5 with 3 generators;"),
     ]
@@ -327,7 +229,7 @@ def test_step_limit_error_names_what_ran_out():
         assert detail in str(info.value)
     basis = standard_basis(module)
     with step_cap(0), pytest.raises(ReductionLimitExceeded) as info:
-        basis.normal_form(element(R3, "x^2 + y^3 + z^7"))
+        basis.contains(element(R3, "x^2 + y^3 + z^7"))
     assert (
         f"aborted after 0 reduction steps in a normal form of rank 1 against a standard "
         f"basis of {len(basis.elements)} elements;" in str(info.value)
@@ -382,14 +284,14 @@ def test_a_degree_at_the_field_limit_raises_instead_of_wrapping():
         standard_basis(Submodule.ideal(R2, [at_limit]))
     # inputs below the limit whose reduction reaches it: the S-element
     # z*(x + y^(L-1)) - x*z of degree L, and the step x*y - y*(x + y^(L-1))
-    # of a normal form
+    # of a membership test
     below = Polynomial(R3, {(1, 0, 0): 1, (0, DEGREE_LIMIT - 1, 0): 1})
     xz = Polynomial(R3, {(1, 0, 1): 1})
     with pytest.raises(DegreeLimitExceeded):
         standard_basis(Submodule.ideal(R3, [below, xz]))
     xy = ModuleElement.from_polynomial(Polynomial(R3, {(1, 1, 0): 1}))
     with pytest.raises(DegreeLimitExceeded):
-        mora_normal_form(xy, [ModuleElement.from_polynomial(below)])
+        standard_basis(Submodule.ideal(R3, [below])).contains(xy)
     # one below the limit is still computed
     basis = standard_basis(Submodule.ideal(R2, [Polynomial(R2, {(0, DEGREE_LIMIT - 1): 1})]))
     assert basis.lead_terms == ((0, (0, DEGREE_LIMIT - 1)),)
@@ -631,8 +533,8 @@ def test_local_colength_matches_exact_on_bruce_roberts_modules():
 
 def test_truncated_basis_refuses_membership():
     basis = standard_basis(ideal(R2, "x^2", "y^3"), truncate_degree=8)
-    with pytest.raises(ValueError):
-        basis.normal_form(element(R2, "x^2"))
+    with pytest.raises(ValueError, match="untruncated"):
+        basis.contains(element(R2, "x^2"))
 
 
 # ------------------------------------------------------------ highest corner
