@@ -21,16 +21,13 @@ from .errors import (
     ReductionLimitExceeded,
 )
 from .invariants import (
-    IcisResult,
     IdentityCheck,
     InvariantReport,
     derived_invariants,
-    detect_quasihomogeneous,
     generic_slice,
     milnor_hypersurface,
     milnor_icis,
     tjurina_icis,
-    verify_icis,
 )
 from .module_ops import (
     intersect,
@@ -67,7 +64,6 @@ __all__ = [
     "GenericityExhausted",
     "GermlabError",
     "ICISViolation",
-    "IcisResult",
     "IdentityCheck",
     "InfiniteColength",
     "InvariantReport",
@@ -84,7 +80,6 @@ __all__ = [
     "VarietyGerm",
     "colength",
     "derived_invariants",
-    "detect_quasihomogeneous",
     "df_theta",
     "format_polynomial",
     "generic_slice",
@@ -106,5 +101,4 @@ __all__ = [
     "subquotient_dimension",
     "syzygies",
     "tjurina_icis",
-    "verify_icis",
 ]

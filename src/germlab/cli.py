@@ -251,10 +251,22 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(args.file, "rb") as handle:
+            data = handle.read()
     except OSError as err:
         print(f"error: cannot read {args.file}: {err.strerror}", file=sys.stderr)
+        return 1
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as err:
+        # err.start counts from after a BOM, in err.object; the lines are
+        # split as the parser splits them, "?" standing for the bad byte
+        lines = (err.object[: err.start].decode("utf-8") + "?").splitlines()
+        print(
+            f"{args.file}:{len(lines)}:{len(lines[-1])}: error: "
+            f"invalid UTF-8 byte 0x{err.object[err.start]:02x}",
+            file=sys.stderr,
+        )
         return 1
     try:
         problem = parse_problem_file(text)

@@ -37,9 +37,7 @@ germ of f_1..f_j and be singular there.  So the chain checks only the
 dimension of each truncation, and an infinite step colength names a
 non-isolated singular locus.  tau does the same for X of the right
 dimension, because supp T^1_X = Sing X (Looijenga, Isolated Singular
-Points on Complete Intersections, 1984).  verify_icis decides the same
-question from its own colength of I_j + J_j; the pipeline never calls
-it, and the tests check its errors against the pipeline's.
+Points on Complete Intersections, 1984).
 """
 
 from __future__ import annotations
@@ -48,8 +46,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
-from math import gcd, lcm
 
 from .derlog import VarietyGerm
 from .errors import (
@@ -73,15 +69,6 @@ GENERIC_MAX_ATTEMPTS = 32
 NON_ISOLATED = "non-isolated singular locus"
 
 
-@dataclass(frozen=True)
-class IcisResult:
-    """Outcome of an ICIS verification: ok with the dimension, or a reason."""
-
-    ok: bool
-    dim: int | None = None
-    reason: str | None = None
-
-
 def _validate_germ_functions(fs) -> RingSpec:
     if not fs:
         raise PreconditionViolation("need at least one function")
@@ -94,25 +81,6 @@ def _validate_germ_functions(fs) -> RingSpec:
         if f.constant_term():
             raise PreconditionViolation("functions must vanish at the origin")
     return ring
-
-
-def verify_icis(ring: RingSpec, gens) -> IcisResult:
-    """Check that gens define an ICIS: right dimension, singular at most 0.
-
-    An independent route to the errors of the pipeline, which reads
-    isolatedness off its own colengths (see the module docstring): the
-    dimension, then the colength of I + J_k.
-    """
-    gens = tuple(gens)
-    _validate_germ_functions(gens)
-    X = VarietyGerm(ring, gens)
-    reason = _dimension_reason(X)
-    if reason is not None:
-        return IcisResult(False, reason=reason)
-    total = module_sum(X.ideal, jacobian_minors(gens, X.k))
-    if not is_finite(local_colength(total)):
-        return IcisResult(False, reason=NON_ISOLATED)
-    return IcisResult(True, dim=X.dimension)
 
 
 def _dimension_reason(X: VarietyGerm) -> str | None:
@@ -239,86 +207,6 @@ def generic_slice(X: VarietyGerm, seed: int) -> tuple[Polynomial, int]:
     raise GenericityExhausted(
         f"no admissible linear form found in {GENERIC_MAX_ATTEMPTS} attempts"
     )
-
-
-def detect_quasihomogeneous(f: Polynomial | None, X: VarietyGerm):
-    """Positive rational weights making f and every generator of X
-    weighted-homogeneous, or None.
-
-    The constraints say that within each polynomial all exponent vectors
-    have equal weighted degree; the candidate weights form the kernel of
-    the exponent-difference matrix, and a positive point is searched by a
-    bounded sweep of rational combinations of the kernel basis.  Weights
-    are returned as coprime positive integers.
-    """
-    ring = X.ring
-    polys = [] if X.is_ambient else list(X.generators)
-    if f is not None and not f.is_zero():
-        if f.ring != ring:
-            raise ValueError("mixed rings")
-        polys.append(f)
-    n = ring.n
-    rows: list[tuple[Fraction, ...]] = []
-    for p in polys:
-        monos = sorted(p.terms)
-        base = monos[0]
-        for mono in monos[1:]:
-            rows.append(tuple(Fraction(a - b) for a, b in zip(mono, base)))
-    kernel = _nullspace(rows, n)
-    if not kernel:
-        return None
-    t = len(kernel)
-    for bound in range(1, 13):
-        if (2 * bound + 1) ** t > 3_000_000:
-            break
-        for lam in iter_product(range(-bound, bound + 1), repeat=t):
-            if max(abs(v) for v in lam) != bound:
-                continue
-            weights = [
-                sum(l * kernel[j][i] for j, l in enumerate(lam)) for i in range(n)
-            ]
-            if all(w > 0 for w in weights):
-                return _normalize_weights(weights)
-    return None
-
-
-def _nullspace(rows: list[tuple[Fraction, ...]], n: int) -> list[list[Fraction]]:
-    """Basis of the solution space of rows * w = 0, by exact elimination."""
-    matrix = [list(row) for row in rows]
-    pivots: list[int] = []
-    row_idx = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row_idx, len(matrix)):
-            if matrix[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        matrix[row_idx], matrix[pivot] = matrix[pivot], matrix[row_idx]
-        inv = 1 / matrix[row_idx][col]
-        matrix[row_idx] = [v * inv for v in matrix[row_idx]]
-        for r in range(len(matrix)):
-            if r != row_idx and matrix[r][col]:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[row_idx])]
-        pivots.append(col)
-        row_idx += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -matrix[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def _normalize_weights(weights: list[Fraction]) -> tuple[int, ...]:
-    denom = lcm(*(w.denominator for w in weights))
-    ints = [int(w * denom) for w in weights]
-    return tuple(v // gcd(*ints) for v in ints)
 
 
 @dataclass(frozen=True)

@@ -172,9 +172,6 @@ class Polynomial:
     def __sub__(self, other) -> Polynomial:
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> Polynomial:
-        return (-self) + other
-
     def __mul__(self, other) -> Polynomial:
         if not isinstance(other, Polynomial):
             coeff = _as_fraction(other)
@@ -195,19 +192,6 @@ class Polynomial:
         return Polynomial._raw(self.ring, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> Polynomial:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial.constant(self.ring, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def derivative(self, index: int) -> Polynomial:
         """Exact formal partial derivative with respect to variable `index`."""

@@ -328,9 +328,6 @@ def _degree_limit(degree: int) -> DegreeLimitExceeded:
 class _Packing:
     """The packed terms of one run: each term (c, a) of O^rank over n
     variables as one int, laid out as the module docstring describes.
-
-    Called on a term it gives -pack(c, a), a key of the module order
-    with parameter `block` on the terms of O^rank.
     """
 
     __slots__ = ("shifts", "units", "deg_shift", "low", "guards", "blocked", "_heads")
@@ -378,9 +375,6 @@ class _Packing:
         if top >= DEGREE_LIMIT:
             raise _degree_limit(top)
         return top
-
-    def __call__(self, term: Term) -> int:
-        return -self.pack(*term)
 
 
 class _Entry:

@@ -1,10 +1,13 @@
-"""Independent linear-algebra oracles for colengths, syzygies and tangency.
+"""Independent linear-algebra oracles for colengths, syzygies, tangency
+and quasihomogeneous weights.
 
 Everything here is plain sparse Gaussian elimination over Fraction acting
 on raw term dicts ({monomial: coeff} or {(component, monomial): coeff}).
 Nothing imports the Mora/standard-basis machinery these oracles are used
 to cross-check.  `term_key` specifies the module orders as tuple keys,
 against which the tests check the kernel's packed terms.
+`detect_quasihomogeneous` reads only the exponents of the polynomials it
+is given and of a germ's generators.
 
 Colengths are computed as stabilized truncations: dim O^rank / (M + m^D)
 equals (number of module monomials of degree < D) minus the rank of the
@@ -17,7 +20,8 @@ a row is accepted as converged.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from math import gcd, lcm
 
 from germlab.ring import negdegrevlex_key
 
@@ -185,6 +189,51 @@ def _nullspace(equations, unknowns):
                 vec[pu] = -coeff
         basis.append(vec)
     return basis
+
+
+def detect_quasihomogeneous(f, X):
+    """Positive rational weights making the polynomial f (or None) and
+    every generator of the germ X weighted-homogeneous, or None.
+
+    The constraints say that within each polynomial all exponent vectors
+    have equal weighted degree; the candidate weights form the kernel of
+    the exponent-difference matrix, and a positive point is searched by a
+    bounded sweep of rational combinations of the kernel basis.  Weights
+    are returned as coprime positive integers.
+    """
+    ring = X.ring
+    polys = [] if X.is_ambient else list(X.generators)
+    if f is not None and not f.is_zero():
+        if f.ring != ring:
+            raise ValueError("mixed rings")
+        polys.append(f)
+    n = ring.n
+    rows = []
+    for p in polys:
+        monos = sorted(p.terms)
+        base = monos[0]
+        for mono in monos[1:]:
+            rows.append({i: a - b for i, (a, b) in enumerate(zip(mono, base)) if a != b})
+    kernel = _nullspace(rows, range(n))
+    if not kernel:
+        return None
+    t = len(kernel)
+    for bound in range(1, 13):
+        if (2 * bound + 1) ** t > 3_000_000:
+            break
+        for lam in product(range(-bound, bound + 1), repeat=t):
+            if max(abs(v) for v in lam) != bound:
+                continue
+            weights = [sum(l * vec.get(i, 0) for l, vec in zip(lam, kernel)) for i in range(n)]
+            if all(w > 0 for w in weights):
+                return _normalize_weights(weights)
+    return None
+
+
+def _normalize_weights(weights):
+    denom = lcm(*(w.denominator for w in weights))
+    ints = [int(w * denom) for w in weights]
+    return tuple(v // gcd(*ints) for v in ints)
 
 
 def exact_polynomial_syzygies(n, rank, gens, coeff_degree) -> list[tuple[dict, ...]]:

@@ -158,6 +158,31 @@ def test_exit_one_on_non_ascii_digit(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_exit_one_on_invalid_utf8_byte(tmp_path, capsys):
+    path = tmp_path / "input.germ"
+    text = "[ring]\r\nvariables = x, y\r\n[variety]\r\ng1 = x\u00b2 "
+    path.write_bytes(text.encode("utf-8") + b"\xff+ y^2\n")
+    code = cli.main(["milnor", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    # the column counts characters, not bytes, and CRLF ends a line
+    assert captured.err == f"{path}:4:9: error: invalid UTF-8 byte 0xff\n"
+    # a byte order mark takes no column
+    path.write_bytes(b"\xef\xbb\xbf\xc0" + text.encode("utf-8"))
+    assert cli.main(["milnor", str(path)]) == 1
+    assert capsys.readouterr().err == f"{path}:1:1: error: invalid UTF-8 byte 0xc0\n"
+
+
+def test_a_byte_order_mark_is_not_content(tmp_path, capsys):
+    plain = run(tmp_path, capsys, SPHERE, "invariants", "--machine")
+    (tmp_path / "input.germ").write_bytes(b"\xef\xbb\xbf" + SPHERE.encode())
+    code = cli.main(["invariants", str(tmp_path / "input.germ"), "--machine"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == plain
+    assert code == 0
+
+
 def test_exit_one_on_missing_file(tmp_path, capsys):
     code = cli.main(["invariants", str(tmp_path / "absent.germ")])
     captured = capsys.readouterr()

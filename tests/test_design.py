@@ -2,8 +2,9 @@
 or unused exports, one graph-module elimination, one truncation ladder,
 membership as the only normal-form query, a fraction-free reduction loop
 on packed terms, isolatedness decided once, from the pipeline's own
-colengths, df(Theta_X) built only by VarietyGerm.bruce_roberts, and no
-module-level cache but the Milnor chain's and the CLI parser's."""
+colengths, df(Theta_X) built only by VarietyGerm.bruce_roberts, no
+module-level cache but the Milnor chain's and the CLI parser's, and an
+oracle that imports nothing from germlab but the ring."""
 
 import ast
 from pathlib import Path
@@ -36,10 +37,7 @@ def test_every_export_resolves():
 
 
 # exports that no code in the package uses, each kept for a reason
-UNUSED_EXPORTS = {
-    "verify_icis": "the independent ICIS route the tests compare the pipeline against",
-    "detect_quasihomogeneous": "the weights of the quasihomogeneous checks ROADMAP.md plans",
-}
+UNUSED_EXPORTS: dict[str, str] = {}
 
 
 class _References(ast.NodeVisitor):
@@ -202,18 +200,6 @@ def test_reduction_loop_orders_and_divides_packed_terms():
     assert offenders == []
 
 
-def test_no_pipeline_code_calls_verify_icis():
-    # verify_icis is the independent route the tests compare against
-    offenders = []
-    for path, tree in parsed_sources():
-        offenders += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and _called_name(node) == "verify_icis"
-        ]
-    assert offenders == []
-
-
 def test_invariants_catch_no_infinite_colength():
     # an infinite chain step or tau is an ICISViolation where it is computed
     tree = {path.name: parsed for path, parsed in parsed_sources()}["invariants.py"]
@@ -224,3 +210,15 @@ def test_invariants_catch_no_infinite_colength():
             if "InfiniteColength" in names:
                 offenders.append(node.lineno)
     assert offenders == []
+
+
+def test_the_oracle_imports_only_the_ring_from_germlab():
+    # the oracle cross-checks the standard-basis code, so it must not use it
+    path = Path(__file__).with_name("_oracle.py")
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {m for m in imported if m and m.split(".")[0] == "germlab"} == {"germlab.ring"}

@@ -1,6 +1,8 @@
-"""Milnor/Tjurina chains, slices, weights and the derived-invariant reports."""
+"""Milnor/Tjurina chains, the reference ICIS check, slices, weights and the
+derived-invariant reports."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -13,20 +15,26 @@ from germlab import (
     Polynomial,
     PreconditionViolation,
     ReductionLimitExceeded,
+    RingSpec,
     VarietyGerm,
     derived_invariants,
-    detect_quasihomogeneous,
     generic_slice,
     gradient,
     is_finite,
+    jacobian_minors,
     local_colength,
     milnor_hypersurface,
     milnor_icis,
+    module_sum,
     step_cap,
     tjurina_icis,
-    verify_icis,
 )
-from germlab.invariants import _milnor_chain
+from germlab.invariants import (
+    NON_ISOLATED,
+    _dimension_reason,
+    _milnor_chain,
+    _validate_germ_functions,
+)
 from germlab.ring import restrict_to_hyperplane
 
 import _oracle as oracle
@@ -72,6 +80,34 @@ def test_milnor_hypersurface_preconditions():
 
 
 # ----------------------------------------------------------------- verify
+
+
+@dataclass(frozen=True)
+class IcisResult:
+    """Outcome of an ICIS verification: ok with the dimension, or a reason."""
+
+    ok: bool
+    dim: int | None = None
+    reason: str | None = None
+
+
+def verify_icis(ring: RingSpec, gens) -> IcisResult:
+    """Check that gens define an ICIS: right dimension, singular at most 0.
+
+    An independent route to the errors of the pipeline, which reads
+    isolatedness off its own colengths (see the germlab.invariants
+    docstring): the dimension, then the colength of I + J_k.
+    """
+    gens = tuple(gens)
+    _validate_germ_functions(gens)
+    X = VarietyGerm(ring, gens)
+    reason = _dimension_reason(X)
+    if reason is not None:
+        return IcisResult(False, reason=reason)
+    total = module_sum(X.ideal, jacobian_minors(gens, X.k))
+    if not is_finite(local_colength(total)):
+        return IcisResult(False, reason=NON_ISOLATED)
+    return IcisResult(True, dim=X.dimension)
 
 
 def test_verify_icis_examples():
@@ -440,29 +476,29 @@ def test_tau_at_most_mu_for_hypersurfaces():
 
 
 def test_weights_for_homogeneous_pair():
-    assert detect_quasihomogeneous(poly("x", R4), QUADRIC4) == (1, 1, 1, 1)
+    assert oracle.detect_quasihomogeneous(poly("x", R4), QUADRIC4) == (1, 1, 1, 1)
 
 
 def test_weights_two_monomial_system():
     ambient = VarietyGerm.ambient(R2)
-    assert detect_quasihomogeneous(poly("x^3 + y^2", R2), ambient) == (2, 3)
+    assert oracle.detect_quasihomogeneous(poly("x^3 + y^2", R2), ambient) == (2, 3)
 
 
 def test_weights_infeasible_system():
     ambient = VarietyGerm.ambient(R2)
-    assert detect_quasihomogeneous(poly("x^3 + y^7 + x*y^5", R2), ambient) is None
+    assert oracle.detect_quasihomogeneous(poly("x^3 + y^7 + x*y^5", R2), ambient) is None
 
 
 def test_weights_brieskorn():
-    assert detect_quasihomogeneous(poly("x", R4), BRIESKORN3) == (3, 3, 3, 2)
+    assert oracle.detect_quasihomogeneous(poly("x", R4), BRIESKORN3) == (3, 3, 3, 2)
 
 
 def test_weights_cover_variety_and_function_together():
-    assert detect_quasihomogeneous(poly("x + y", R2), CROSS) == (1, 1)
+    assert oracle.detect_quasihomogeneous(poly("x + y", R2), CROSS) == (1, 1)
     # the cusp forces (3,2); x + y forces equal weights
     cusp = germ(R2, "x^2 + y^3")
-    assert detect_quasihomogeneous(poly("x + y", R2), cusp) is None
-    assert detect_quasihomogeneous(None, cusp) == (3, 2)
+    assert oracle.detect_quasihomogeneous(poly("x + y", R2), cusp) is None
+    assert oracle.detect_quasihomogeneous(None, cusp) == (3, 2)
 
 
 # ---------------------------------------------------------------- reports
@@ -509,7 +545,7 @@ def test_report_with_distinct_milnor_and_tjurina():
     assert rep.tau_br == 11
     assert (rep.gsv, rep.polar_md, rep.eu_X, rep.eu_fX, rep.brasselet) == (24, 14, 3, -10, 13)
     assert rep.consistent
-    assert detect_quasihomogeneous(poly("z", R4), SUSPENSION4) is None
+    assert oracle.detect_quasihomogeneous(poly("z", R4), SUSPENSION4) is None
 
 
 def test_report_value_signs():
@@ -564,6 +600,6 @@ def test_quasihomogeneous_pairs_have_equal_br_numbers():
         (CROSS, poly("x + y", R2)),
     ]
     for X, f in cases:
-        assert detect_quasihomogeneous(f, X) is not None
+        assert oracle.detect_quasihomogeneous(f, X) is not None
         mu_br, _, tau_br = X.bruce_roberts(f)
         assert mu_br == tau_br

@@ -265,8 +265,6 @@ def test_packed_terms_order_shift_and_divide_as_the_tuples_do(case):
         for c2, a2 in terms:
             a2_b = tuple(x + y for x, y in zip(a2, b))
             assert packing.pack(c2, a2) + packing.pack(c, a_b) - t == packing.pack(c2, a2_b)
-    # the packing is a term key of the same order
-    assert sorted(terms, key=packing) == sorted(terms, key=key)
     guards = packing.guards
     for s, t in ((s, t) for s in terms for t in terms):
         ps, pt = packing.pack(*s), packing.pack(*t)
