@@ -20,10 +20,13 @@ minimal, so the number of generators kept is the minimal number of
 generators of Theta_X, whatever the input order.
 
 The three Bruce-Roberts numbers of a function f on X are colengths of
-the one ideal df(Theta_X): alone, plus the ideal of X, or plus (f).
-VarietyGerm.bruce_roberts builds df(Theta_X) once and returns all three.
-Like Theta_X, the Tjurina colength depends on X alone and is cached on
-the germ.
+the one ideal D = df(Theta_X): alone, plus the ideal of X, or plus (f).
+VarietyGerm.bruce_roberts builds D once and returns all three from one
+truncation ladder per pair (X, f): only D climbs it, and D + I(X) and
+D + (f) each take one run that extends D's certified basis (see
+standard_basis.local_colength).
+Like Theta_X, the Tjurina colength and the generic slice of each seed
+depend on X alone and are cached on the germ.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import PreconditionViolation
-from .module_ops import intersect, module_sum, submodule_pullback, syzygies
+from .module_ops import intersect, submodule_pullback, syzygies
 from .ring import Polynomial, RingSpec, gradient
 from .standard_basis import (
     ModuleElement,
@@ -79,6 +82,8 @@ class VarietyGerm:
         self.ring = ring
         self.generators = gens
         self._ambient = _ambient
+        # invariants.generic_slice's (p, mu) for each seed drawn on this germ
+        self.generic_slices: dict[int, tuple[Polynomial, int]] = {}
 
     @classmethod
     def ambient(cls, ring: RingSpec) -> VarietyGerm:
@@ -127,17 +132,16 @@ class VarietyGerm:
         return local_colength(Submodule(ring, k, columns + trivial))
 
     def bruce_roberts(self, f: Polynomial) -> BruceRoberts:
-        """The Bruce-Roberts numbers of f on X, from one df(Theta_X).
+        """The Bruce-Roberts numbers of f on X, from one df(Theta_X) and one
+        truncation ladder: D = df(Theta_X) climbs it, and D + I(X) and
+        D + (f) are each one run at D's certified bound, extending D's basis.
 
         A number is INFINITE when f is not finitely determined with respect
-        to the coordinate changes preserving X.
+        to the coordinate changes preserving X; when mu_br is, the two sums
+        climb their own ladders.
         """
         image = df_theta(f, self.tangent_module)
-        return BruceRoberts(
-            local_colength(image),
-            local_colength(module_sum(image, self.ideal)),
-            local_colength(module_sum(image, Submodule.ideal(f.ring, [f]))),
-        )
+        return BruceRoberts(*local_colength(image, self.ideal, Submodule.ideal(f.ring, [f])))
 
     def __repr__(self) -> str:
         if self._ambient:

@@ -182,10 +182,16 @@ def generic_slice(X: VarietyGerm, seed: int) -> tuple[Polynomial, int]:
     eliminating the last variable that p involves, and on the full chain
     only when the restricted chain is not admissible; both decide the
     same draws (see the module docstring).  The same seed always yields
-    the same form.
+    the same form, so the result is cached per seed on the germ.
     """
     if X.is_ambient or X.dimension < 1:
         raise PreconditionViolation("generic slicing needs a variety of dimension >= 1")
+    if seed not in X.generic_slices:
+        X.generic_slices[seed] = _draw_generic_slice(X, seed)
+    return X.generic_slices[seed]
+
+
+def _draw_generic_slice(X: VarietyGerm, seed: int) -> tuple[Polynomial, int]:
     ring = X.ring
     rng = random.Random(seed)
     for _ in range(GENERIC_MAX_ATTEMPTS):

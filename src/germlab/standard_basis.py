@@ -67,7 +67,9 @@ the module order: term-over-position by default, block-eliminating for
 submodule pullbacks.  `step_cap(limit)` bounds the reduction steps of
 every standard-basis run and membership test started inside it; the cap
 is held in a context variable, so leaving the scope restores the
-previous one.
+previous one.  A run can also start from a finished basis
+(`extending=`), the way local_colength counts a sum from the basis of
+one summand.
 """
 
 from __future__ import annotations
@@ -530,7 +532,11 @@ class StandardBasis:
 
 
 def standard_basis(
-    module: Submodule, *, block: int = 0, truncate_degree: int | None = None
+    module: Submodule,
+    *,
+    block: int = 0,
+    truncate_degree: int | None = None,
+    extending: StandardBasis | None = None,
 ) -> StandardBasis:
     """Compute a standard basis of `module` by Mora's algorithm.
 
@@ -557,16 +563,36 @@ def standard_basis(
     trailing terms of lower degree behind a lead, so block runs keep
     their bound.  `truncated_at` records the bound the run ended at.
     Exact runs (`truncate_degree=None`) keep every term.
+
+    With `extending=B`, a `block=0` basis of a module M exact or truncated
+    at a degree >= truncate_degree, the run computes a basis of M +
+    module: B's elements, cut at the bound, are a standard basis of M +
+    m^bound modulo m^bound, so the run starts from them and drops every
+    pair among them (Singular's `std(I, J)` extends a basis the same
+    way).  Each generator of `module` is reduced against the basis before
+    it is pushed, so a generator that lies in M costs one normal form and
+    no pair.  Such a run keeps its bound, and its `truncated_at` is that
+    bound.
     """
     ring, rank = module.ring, module.rank
     packing = _Packing(ring.n, rank, block)
     where = f"in a standard basis of rank {rank} with {len(module.generators)} generators"
     if truncate_degree is not None:
         where += f", truncated at degree {truncate_degree}"
+    if extending is not None:
+        where += f", extending a basis of {len(extending.elements)} elements"
     budget = _Budget(where)
     bound = truncate_degree
     cut = None if bound is None else bound << packing.deg_shift
-    corner = _Corner(packing, rank) if bound is not None and block == 0 else None
+    corner = None
+    if extending is not None:
+        start = extending.truncated_at
+        if (block or extending.packing.blocked or extending.ambient.ring != ring
+                or extending.ambient.rank != rank
+                or start is not None and (bound is None or bound > start)):
+            raise ValueError("can only extend a basis of the same module order and bound")
+    elif bound is not None and block == 0:
+        corner = _Corner(packing, rank)
 
     basis: list[_Entry] = []
     lead_terms: list[Term] = []
@@ -591,22 +617,39 @@ def standard_basis(
                 bound = top + 1
                 cut = bound << packing.deg_shift
 
+    if extending is not None:
+        for e in extending._entries:
+            vec = {t: c for t, c in e.vec.items() if cut is None or t < cut}
+            if vec:  # the lead has the least degree, so it survives the cut
+                _normalize(vec)
+                push(vec)
+        pairs.clear()  # the seeds are a standard basis: their pairs reduce to 0
+
+    # an extension reduces its generators before pushing them, like S-elements
+    inputs: list[IntVec] = []
     for g in module.generators:
         vec = {k: c for k, c in g.terms.items() if bound is None or sum(k[1]) < bound}
         if vec:
-            push(_primitive(vec, packing))
+            vec = _primitive(vec, packing)
+            if extending is None:
+                push(vec)
+            else:
+                inputs.append(vec)
 
-    while pairs:
-        _, i, j = heapq.heappop(pairs)
-        gi, gj = basis[i], basis[j]
-        comp, mono_i = lead_terms[i]
-        lcm_term = packing.pack(comp, tuple(map(max, mono_i, lead_terms[j][1])))
-        s_vec: IntVec = {}
-        _vec_axpy(s_vec, gi.vec, lcm_term - gi.lt, gj.lc, cut, packing.low)
-        _vec_axpy(s_vec, gj.vec, lcm_term - gj.lt, -gi.lc, cut, packing.low)
-        if not s_vec:
-            continue
-        rem = _mora_nf(s_vec, basis, packing, budget, cut)
+    while inputs or pairs:
+        if inputs:
+            vec = inputs.pop(0)
+        else:
+            _, i, j = heapq.heappop(pairs)
+            gi, gj = basis[i], basis[j]
+            comp, mono_i = lead_terms[i]
+            lcm_term = packing.pack(comp, tuple(map(max, mono_i, lead_terms[j][1])))
+            vec = {}
+            _vec_axpy(vec, gi.vec, lcm_term - gi.lt, gj.lc, cut, packing.low)
+            _vec_axpy(vec, gj.vec, lcm_term - gj.lt, -gi.lc, cut, packing.low)
+            if not vec:
+                continue
+        rem = _mora_nf(vec, basis, packing, budget, cut)
         if rem:
             push(rem)
 
@@ -631,24 +674,34 @@ def standard_basis(
 
 
 def colength(basis: StandardBasis):
-    """Number of monomials (with component) outside the lead-term module.
+    """Number of monomials (with component) outside the lead-term module:
+    the colength of the module that `basis` is a basis of.
 
-    Returns INFINITE iff some component misses a pure power of some
-    variable among its lead terms, which is exactly when the quotient has
-    infinite vector-space dimension.
+    For a truncated basis that module is M + m^D * O^rank with D =
+    `truncated_at`, so only the monomials of degree below D count.
+    Otherwise the result is INFINITE iff some component misses a pure
+    power of some variable among its lead terms, which is exactly when
+    the quotient has infinite vector-space dimension.
     """
-    n, rank = basis.ambient.ring.n, basis.ambient.rank
+    stairs = _staircases(basis)
+    return INFINITE if stairs is None else sum(1 for stair in stairs for _ in stair)
+
+
+def _staircases(basis: StandardBasis):
+    """For each component, the degrees of its standard monomials as
+    `_standard_monomials` yields them, capped at `truncated_at`; None when
+    an untruncated basis has an infinite staircase."""
+    n, rank, cap = basis.ambient.ring.n, basis.ambient.rank, basis.truncated_at
     packing = _Packing(n, rank, 0)
     by_component: list[list[Monomial]] = [[] for _ in range(rank)]
     for comp, mono in basis.lead_terms:
         by_component[comp].append(mono)
-    total = 0
-    for comp, leads in enumerate(by_component):
-        if _missing_pure_powers(leads, n):
-            return INFINITE
-        packed = [packing.pack(comp, mono) for mono in leads]
-        total += sum(1 for _ in _standard_monomials(packed, comp, packing))
-    return total
+    if cap is None and any(_missing_pure_powers(leads, n) for leads in by_component):
+        return None
+    return [
+        _standard_monomials([packing.pack(comp, mono) for mono in leads], comp, packing, cap)
+        for comp, leads in enumerate(by_component)
+    ]
 
 
 def _missing_pure_powers(leads: list[Monomial], n: int) -> set[int]:
@@ -756,8 +809,10 @@ def _axis_floor(module: Submodule) -> int | None:
     return max(orders.values()) + 1
 
 
-def local_colength(module: Submodule):
-    """Colength of a submodule, computed with certified degree truncation.
+def local_colength(module: Submodule, *summands: Submodule):
+    """Colength of a submodule, computed with certified degree truncation;
+    given summands N_1, ..., N_s, the tuple of the colengths of M, M + N_1,
+    ..., M + N_s, with one ladder for all of them.
 
     Standard bases are computed modulo m^D for the rungs D = 2, 3, 4, 6,
     8, 12, ..., 28 from a floor on.  A rung is certified when its run
@@ -784,16 +839,47 @@ def local_colength(module: Submodule):
     standard, and the colength is INFINITE without any run.  That covers
     a component that no generator touches, and a singular locus that
     contains a coordinate axis.
+
+    The sums climb no ladder of their own.  Once M's colength is
+    certified, m^b lies in M for the bound b its certified rung ended at
+    (see _Corner).  After an exact run, b = t + 1 for the top degree t of
+    its staircase: every monomial of degree t + 1 is then a lead term,
+    and Nakayama applies as above.  Hence m^b ⊆ M ⊆ M + N, so M + N =
+    M + N + m^b, and one run of M + N modulo m^b counts its colength
+    exactly.  That run extends M's certified basis (see standard_basis)
+    instead of starting over.  Its count needs no certificate of its
+    own, and the corner could not give one: the staircase of M + N may
+    top out at b - 1.  When M's colength is INFINITE there is no such b,
+    and each sum climbs its own ladder.
     """
     floor = _axis_floor(module)
-    if floor is None:
-        return INFINITE
-    for degree in _TRUNCATION_LADDER:
-        if degree >= floor:
-            basis = standard_basis(module, truncate_degree=degree)
-            if basis.truncated_at < degree:
-                return colength(basis)
-    return colength(standard_basis(module))
+    rungs = [] if floor is None else [d for d in _TRUNCATION_LADDER if d >= floor] + [None]
+    values, certified = [], None
+    for part in (module, *summands):
+        basis = None
+        for degree in rungs:  # None is the exact run
+            basis = standard_basis(part, truncate_degree=degree, extending=certified)
+            if certified is not None or degree is None or basis.truncated_at < degree:
+                break
+        values.append(INFINITE if basis is None else colength(basis))
+        if certified is None:  # part is the module itself
+            if not summands:
+                return values[0]
+            if values[0] is INFINITE:
+                sums = [Submodule(module.ring, module.rank, module.generators + N.generators)
+                        for N in summands]
+                return (INFINITE, *map(local_colength, sums))
+            certified, rungs = basis, [_certified_bound(basis)]
+    return tuple(values)
+
+
+def _certified_bound(basis: StandardBasis) -> int:
+    """A degree b with m^b inside the module of a basis that certified
+    its finite colength (see local_colength): the bound its rung ended
+    at, or after an exact run one more than its staircase top."""
+    if basis.truncated_at is not None:
+        return basis.truncated_at
+    return 1 + max((d for stair in _staircases(basis) for d in stair), default=0)
 
 
 def krull_dimension(basis: StandardBasis) -> int:

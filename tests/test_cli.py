@@ -136,6 +136,24 @@ def test_ambient_report_with_non_isolated_function(tmp_path, capsys):
     assert data["check.ambient_bruce_roberts"] == "pass"
 
 
+def test_ambient_report_of_an_infinite_mu_br_climbs_a_ladder_per_sum(tmp_path, capsys, colength_runs):
+    # f = (x^2 - y^3)^2 is singular along its zero curve; J(f) holds pure
+    # powers of x and y, so its ladder and the exact run end INFINITE, and
+    # with no certificate each sum climbs its own ladder and prints INFINITE
+    text = "[ring]\nvariables = x, y\n[variety]\nambient\n[function]\nf = x^4 - 2*x^2*y^3 + y^6\n"
+    code, out, err = run(tmp_path, capsys, text, "invariants", "--machine")
+    assert (code, err) == (0, "")
+    assert out == (
+        f"---RESULTS---\ncommand = invariants\nfile = {tmp_path / 'input.germ'}\nseed = 42\n"
+        "n = 2\nd = 2\nmu_f = INFINITE\nmu_br = INFINITE\nmu_br_rel = INFINITE\n"
+        "tau_br = INFINITE\ncheck.ambient_bruce_roberts = pass\n"
+        "check.ambient_relative = pass\n---END---\n"
+    )
+    assert all(extending is None for _, _, extending, _ in colength_runs)
+    # mu_f, mu_br, mu_br_rel and tau_br each end with an exact run
+    assert [degree for _, degree, _, _ in colength_runs].count(None) == 4
+
+
 def test_check_command_passes(tmp_path, capsys):
     code, out, _ = run(tmp_path, capsys, SPHERE, "check", "--machine")
     assert code == 0

@@ -12,6 +12,8 @@ from germlab import (
     df_theta,
     gradient,
     is_finite,
+    local_colength,
+    module_sum,
     standard_basis,
 )
 
@@ -26,6 +28,7 @@ from germs import (
     CURVE_K2,
     LINE,
     NONQH,
+    PENCIL5,
     QUADRIC4,
     R2,
     R3,
@@ -286,3 +289,35 @@ def test_ambient_curve_numbers():
     f = poly("x^3 + y^7 + x*y^5", R2)
     mu_br, _, tau_br = ambient.bruce_roberts(f)
     assert (mu_br, tau_br) == (12, 11)
+
+
+# ------------------------------------------------------ one ladder per pair
+
+
+@pytest.mark.parametrize(
+    "X, f",
+    [
+        (PENCIL5, poly("x", R5)),
+        # D climbs rungs 2, 3, 4 and 6
+        (germ(R4, "x^2 + y^3 + z^4 + w^5"), poly("x + y + z + w", R4)),
+    ],
+    ids=["pencil5_x", "brieskorn_2345"],
+)
+def test_bruce_roberts_climbs_one_ladder_per_pair(colength_runs, X, f):
+    image = df_theta(f, X.tangent_module)
+    values = X.bruce_roberts(f)
+    *ladder, to_ideal, to_f = colength_runs
+    # only D = df(Theta_X) climbs: its rungs in order, the last one certified
+    assert len(ladder) >= 2
+    assert all(m.generators == image.generators and e is None for m, _, e, _ in ladder)
+    degrees = [d for _, d, _, _ in ladder]
+    assert degrees == sorted(degrees)
+    _, top_rung, _, certified = ladder[-1]
+    assert certified.truncated_at < top_rung
+    # D + I(X) and D + (f): one run each, at D's bound, extending D's basis
+    summands = (X.ideal, Submodule.ideal(X.ring, [f]))
+    for (module, degree, extending, _), summand in zip((to_ideal, to_f), summands):
+        assert module.generators == summand.generators
+        assert degree == certified.truncated_at and extending is certified
+    sums = [module_sum(image, summand) for summand in summands]
+    assert values == tuple(local_colength(m) for m in (image, *sums))

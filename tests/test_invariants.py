@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import pytest
 
 import germlab.derlog as derlog
+import germlab.invariants as inv
 from germlab import (
     INFINITE,
     GenericityExhausted,
@@ -329,6 +330,30 @@ def test_generic_slice_is_deterministic():
     p2, mu2 = generic_slice(QUADRIC4, 42)
     assert (p1, mu1) == (p2, mu2)
     assert p1.degree() == 1
+
+
+def test_generic_slice_is_cached_per_seed_on_the_germ(monkeypatch):
+    # a warm call draws nothing; another seed, or another germ with equal
+    # generators, draws its own, and the same seed gives the same form
+    calls = []
+
+    def counted(fs):
+        calls.append(fs)
+        return milnor_icis(fs)
+
+    monkeypatch.setattr(inv, "milnor_icis", counted)
+    g = "x^2 + y^2 + z^2 + w^3 + x*y*z"
+    first, second = germ(R4, g), germ(R4, g)
+    drawn = generic_slice(first, 42)
+    assert calls
+    calls.clear()
+    assert generic_slice(first, 42) == drawn
+    assert calls == []
+    assert generic_slice(second, 42) == drawn
+    assert calls
+    calls.clear()
+    generic_slice(first, 7)
+    assert calls
 
 
 def test_generic_slice_accepts_valid_slice():

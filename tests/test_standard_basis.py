@@ -529,6 +529,85 @@ def test_local_colength_matches_exact_on_bruce_roberts_modules():
                 assert local_colength(module) == exact
 
 
+# ------------------------------------------------------ sums on one ladder
+
+
+@given(
+    st.integers(2, 6),
+    st.lists(small_polys, min_size=1, max_size=3),
+    st.lists(small_polys, min_size=1, max_size=3),
+)
+def test_a_sum_counted_from_the_certified_basis_matches_its_own_ladder(k, gens, extra):
+    # D holds m^k, so it is finite whatever its other generators; N is
+    # arbitrary, units and zero included
+    power = [Polynomial.term(R2, (i, k - i), 1) for i in range(k + 1)]
+    D = Submodule.ideal(R2, gens + power)
+    N = Submodule.ideal(R2, extra)
+    total = module_sum(D, N)
+    value = local_colength(total)
+    assert local_colength(D, N) == (local_colength(D), value)
+    assert value == oracle.truncated_colength(2, 1, [dict(g.terms) for g in total.generators])
+
+
+def test_a_sum_after_an_exact_certificate_runs_at_the_staircase_top(colength_runs):
+    # the Jacobian of T_{3,4,30} + w^2 has axis floor 31, so only the exact
+    # run certifies it; its staircase tops out at degree 30
+    f = poly("x^3 + y^4 + z^30 + x*y*z + w^2", R4)
+    jacobian = Submodule.ideal(R4, [f.derivative(i) for i in range(4)])
+    N = ideal(R4, "x + z^5")
+    assert local_colength(jacobian, N) == (36, 9)
+    (_, exact_degree, _, exact), (_, degree, extending, _) = colength_runs
+    assert exact_degree is None and extending is exact
+    # the run works modulo m^(t+1) for the top t of the exact staircase
+    leads = [mono for _, mono in exact.lead_terms]
+
+    def standard_of_degree(d):
+        return [
+            m for m in oracle.monomials_below(4, d + 1)
+            if sum(m) == d and not any(all(map(int.__ge__, m, lead)) for lead in leads)
+        ]
+
+    assert standard_of_degree(degree - 1) and not standard_of_degree(degree)
+    assert local_colength(module_sum(jacobian, N)) == 9
+
+
+def test_a_summand_inside_the_module_adds_no_element(colength_runs):
+    D = ideal(R2, "x^2 + y^3", "x*y^2")
+    N = ideal(R2, "x^3", "x^2*y + y^4", "x*y^2 + x^3*y")
+    assert local_colength(D, N) == (7, 7)
+    *_, (_, degree, certified, extended) = colength_runs
+    kept = {t for t in certified.lead_terms if sum(t[1]) < degree}
+    assert set(extended.lead_terms) == kept
+    assert len(extended.elements) == len(kept)
+
+
+def test_an_extension_keeps_the_order_and_bound_of_its_basis():
+    # a basis modulo m^2 says nothing about degree 2, and a block basis is
+    # not a standard basis for term-over-position
+    D = ideal(R2, "x", "y^2")
+    truncated = standard_basis(D, truncate_degree=8)
+    assert truncated.truncated_at == 2
+    N = ideal(R2, "y")
+    assert colength(standard_basis(N, truncate_degree=2, extending=truncated)) == 1
+    for kwargs in (
+        {"truncate_degree": 3, "extending": truncated},
+        {"extending": truncated},
+        {"truncate_degree": 2, "extending": standard_basis(D, block=1)},
+        {"truncate_degree": 2, "block": 1, "extending": truncated},
+        {"truncate_degree": 2, "extending": standard_basis(ideal(R3, "x", "y", "z"))},
+    ):
+        with pytest.raises(ValueError, match="can only extend"):
+            standard_basis(N, **kwargs)
+
+
+def test_a_sum_of_an_infinite_module_climbs_its_own_ladder(colength_runs):
+    # X = {x = 0} and f = y^2: df(Theta_X) = (y) misses the x-axis, while
+    # (y) + I(X) = (x, y) has colength 1
+    line = germs.LINE
+    assert line.bruce_roberts(poly("y^2", R2)) == (INFINITE, 1, INFINITE)
+    assert colength_runs and all(extending is None for _, _, extending, _ in colength_runs)
+
+
 def test_truncated_basis_refuses_membership():
     basis = standard_basis(ideal(R2, "x^2", "y^3"), truncate_degree=8)
     with pytest.raises(ValueError, match="untruncated"):
