@@ -10,7 +10,6 @@ connecting them, re-checking every identity exactly.
 
 from .derlog import BruceRoberts, VarietyGerm, df_theta
 from .errors import (
-    ContainmentViolation,
     DegreeLimitExceeded,
     GenericityExhausted,
     GermlabError,
@@ -33,9 +32,7 @@ from .module_ops import (
     intersect,
     jacobian_minors,
     module_sum,
-    product,
     submodule_pullback,
-    subquotient_dimension,
     syzygies,
 )
 from .parsing import parse_polynomial
@@ -59,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "INFINITE",
     "BruceRoberts",
-    "ContainmentViolation",
     "DegreeLimitExceeded",
     "GenericityExhausted",
     "GermlabError",
@@ -94,11 +90,9 @@ __all__ = [
     "module_sum",
     "parse_polynomial",
     "parse_problem_file",
-    "product",
     "standard_basis",
     "step_cap",
     "submodule_pullback",
-    "subquotient_dimension",
     "syzygies",
     "tjurina_icis",
 ]

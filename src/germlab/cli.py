@@ -19,7 +19,6 @@ from functools import cache
 
 from .derlog import VarietyGerm
 from .errors import (
-    ContainmentViolation,
     DegreeLimitExceeded,
     GenericityExhausted,
     ICISViolation,
@@ -43,7 +42,6 @@ _PRECONDITION_ERRORS = (
     PreconditionViolation,
     InfiniteColength,
     GenericityExhausted,
-    ContainmentViolation,
     ReductionLimitExceeded,
     DegreeLimitExceeded,
 )

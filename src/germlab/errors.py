@@ -37,10 +37,6 @@ class PreconditionViolation(GermlabError):
     """An operation was invoked outside its stated domain."""
 
 
-class ContainmentViolation(GermlabError):
-    """A submodule expected to be contained in another is not."""
-
-
 class ReductionLimitExceeded(GermlabError):
     """The reduction-step cap was hit; aborted with a diagnostic.
 

@@ -13,7 +13,10 @@ obstruction of a function, Brasselet number and d-th polar multiplicity
 are obtained by solving the identities that tie them to mu of the germ,
 of its f-slice and of a generic linear slice; the identities are heavily
 overdetermined, and every equation not used in the solution is re-checked
-exactly and reported.
+exactly and reported.  The absolute Bruce-Roberts formula needs two
+corrections for J = J(f) and the ideal I of X: c1 = dim O/(J + I), and
+c2 = dim (I cap J)/(I*J), read off one pullback of J along the
+generators of I (see _intersection_over_product).
 
 A chain (g_1..g_k, p) that ends in a linear form p, such as the slice by
 the generic linear form or by a linear f, is computed in one variable
@@ -46,6 +49,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from .derlog import VarietyGerm
 from .errors import (
@@ -54,15 +58,9 @@ from .errors import (
     InfiniteColength,
     PreconditionViolation,
 )
-from .module_ops import (
-    intersect,
-    jacobian_minors,
-    module_sum,
-    product,
-    subquotient_dimension,
-)
+from .module_ops import jacobian_minors, module_sum, submodule_pullback
 from .ring import Polynomial, RingSpec, gradient, restrict_to_hyperplane
-from .standard_basis import Submodule, is_finite, local_colength
+from .standard_basis import ModuleElement, Submodule, is_finite, local_colength
 
 GENERIC_COEFF_BOUND = 100
 GENERIC_MAX_ATTEMPTS = 32
@@ -215,6 +213,27 @@ def _draw_generic_slice(X: VarietyGerm, seed: int) -> tuple[Polynomial, int]:
     )
 
 
+def _intersection_over_product(ideal: Submodule, jacobian: Submodule):
+    """c2 = dim (I cap J)/(I*J) for the ideal I = (g_1..g_k) of an ICIS
+    and J = J(f) with finite mu_f.
+
+    The map a -> sum a_i * g_i takes O^k onto I with kernel Syz(g), so it
+    takes K = {a : sum a_i * g_i in J}, the pullback of J, onto I cap J,
+    and the preimage of I*J is L = J*O^k + Syz(g).  X is an ICIS, so g is
+    a regular sequence and Syz(g) is spanned by the Koszul relations
+    g_j * e_i - g_i * e_j (Bruns-Herzog, Cohen-Macaulay Rings, 1.6).
+    Hence (I cap J)/(I*J) is K/L, and since L lies in K, its dimension is
+    colength(L) - colength(K), both counted from L's one ladder.
+    O^k/L = I/IJ is finite because O/J is.
+    """
+    ring, gens, k = ideal.ring, ideal.polynomials(), len(ideal.generators)
+    e = [ModuleElement.unit_vector(ring, k, i) for i in range(k)]
+    koszul = [e[i] * gj - e[j] * gi for (i, gi), (j, gj) in combinations(enumerate(gens), 2)]
+    L = Submodule(ring, k, [ei * p for ei in e for p in jacobian.polynomials()] + koszul)
+    outer, inner = local_colength(L, submodule_pullback(ideal.generators, jacobian))
+    return outer - inner
+
+
 @dataclass(frozen=True)
 class IdentityCheck:
     """An exactly evaluated identity with both sides recorded."""
@@ -301,9 +320,7 @@ def derived_invariants(X: VarietyGerm, f: Polynomial, seed: int = 42) -> Invaria
     if mu_f is not None:
         jacobian = Submodule.ideal(ring, gradient(f))
         c1_value = local_colength(module_sum(jacobian, X.ideal))
-        c2_value = subquotient_dimension(
-            intersect(X.ideal, jacobian), product(X.ideal, jacobian)
-        )
+        c2_value = _intersection_over_product(X.ideal, jacobian)
         if not is_finite(c1_value) or not is_finite(c2_value):
             raise InfiniteColength("correction terms are infinite despite finite mu_f")
         c1, c2 = c1_value, c2_value

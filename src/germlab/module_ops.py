@@ -3,9 +3,9 @@
 Everything here reduces to one primitive, the submodule pullback
 K = {a : sum a_i * g_i in N}, read off one standard basis of a graph
 module under a block-eliminating order (`submodule_pullback`).  Syzygies
-are the pullback of the zero submodule; intersections, subquotient
-dimensions and Theta_X (`derlog`) are pullbacks too, which keeps every
-computation inside a single local-ordering engine.
+are the pullback of the zero submodule; intersections, Theta_X (`derlog`)
+and the correction term c2 (`invariants`) are pullbacks too, which keeps
+every computation inside a single local-ordering engine.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .errors import ContainmentViolation
 from .ring import Polynomial, RingSpec
-from .standard_basis import ModuleElement, Submodule, local_colength, standard_basis
+from .standard_basis import ModuleElement, Submodule, standard_basis
 
 
 def syzygies(gens: Sequence[ModuleElement]) -> Submodule:
@@ -41,19 +40,6 @@ def intersect(M: Submodule, N: Submodule) -> Submodule:
         for row in submodule_pullback(M.generators, N).generators
     ]
     return Submodule(M.ring, M.rank, list(dict.fromkeys(combos)))
-
-
-def product(I: Submodule, J: Submodule) -> Submodule:
-    """The ideal generated by all pairwise products of generators."""
-    if I.rank != 1 or J.rank != 1:
-        raise ValueError("product is defined for ideals only")
-    if I.ring != J.ring:
-        raise ValueError("mixed rings")
-    polys = []
-    for a in I.polynomials():
-        for b in J.polynomials():
-            polys.append(a * b)
-    return Submodule.ideal(I.ring, list(dict.fromkeys(polys)))
 
 
 def module_sum(M: Submodule, N: Submodule) -> Submodule:
@@ -122,23 +108,3 @@ def submodule_pullback(gens: Sequence[ModuleElement], N: Submodule) -> Submodule
         if lead_comp >= m
     ]
     return Submodule(ring, r, list(dict.fromkeys(tags)))
-
-
-def subquotient_dimension(M: Submodule, N: Submodule):
-    """Vector-space dimension of M/N for N contained in M (module colength).
-
-    Containment is verified by normal-form membership of every generator
-    of N; violation raises ContainmentViolation.  Returns INFINITE when
-    the quotient has infinite dimension.
-    """
-    if M.ring != N.ring or M.rank != N.rank:
-        raise ValueError("submodules live in different ambient modules")
-    if M.is_zero():
-        if N.is_zero():
-            return 0
-        raise ContainmentViolation("second module is not contained in the first")
-    sb = standard_basis(M)
-    for g in N.generators:
-        if not sb.contains(g):
-            raise ContainmentViolation("second module is not contained in the first")
-    return local_colength(submodule_pullback(M.generators, N))

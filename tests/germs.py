@@ -51,6 +51,7 @@ D3_PAIRS = [
     ("brieskorn5_w", BRIESKORN5, poly("w", R4)),
     ("suspension_z", SUSPENSION4, poly("z", R4)),
     ("pencil5_x", PENCIL5, poly("x", R5)),
+    ("pencil5_quadric", PENCIL5, poly("x^2 - y^2 + 2*z^2 + w^2 - 3*v^2", R5)),
 ]
 
 # Pairs of any dimension where the Bruce-Roberts identities are testable.

@@ -25,9 +25,7 @@ from germlab import (
     milnor_hypersurface,
     milnor_icis,
     module_sum,
-    product,
     standard_basis,
-    subquotient_dimension,
     tjurina_icis,
 )
 from germlab.errors import ICISViolation
@@ -164,9 +162,12 @@ def test_relative_identity():
 
 
 def _correction_terms(X, f):
+    # c2 = dim (I cap J)/(I*J) by the linear-algebra oracle, not the pipeline's route
     jacobian = Submodule.ideal(X.ring, gradient(f))
     c1 = local_colength(module_sum(jacobian, X.ideal))
-    c2 = subquotient_dimension(intersect(X.ideal, jacobian), product(X.ideal, jacobian))
+    products = [as_vec(g * p) for g in X.generators for p in gradient(f)]
+    inter = [dict(g.terms) for g in intersect(X.ideal, jacobian).generators]
+    c2 = oracle.truncated_subquotient(X.ring.n, 1, inter, products)
     return c1, c2
 
 

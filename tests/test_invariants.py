@@ -1,5 +1,5 @@
-"""Milnor/Tjurina chains, the reference ICIS check, slices, weights and the
-derived-invariant reports."""
+"""Milnor/Tjurina chains, the reference ICIS check, slices, weights, the
+correction terms c1 and c2 and the derived-invariant reports."""
 
 import random
 from dataclasses import dataclass
@@ -17,10 +17,12 @@ from germlab import (
     PreconditionViolation,
     ReductionLimitExceeded,
     RingSpec,
+    Submodule,
     VarietyGerm,
     derived_invariants,
     generic_slice,
     gradient,
+    intersect,
     is_finite,
     jacobian_minors,
     local_colength,
@@ -41,10 +43,13 @@ from germlab.ring import restrict_to_hyperplane
 import _oracle as oracle
 import germs
 from germs import (
+    AXIS3,
     BRIESKORN3,
     CONE3,
     CROSS,
     CURVE_K2,
+    D3_PAIRS,
+    LOW_DIM_PAIRS,
     NONQH,
     PENCIL5,
     QUADRIC4,
@@ -524,6 +529,56 @@ def test_weights_cover_variety_and_function_together():
     cusp = germ(R2, "x^2 + y^3")
     assert oracle.detect_quasihomogeneous(poly("x + y", R2), cusp) is None
     assert oracle.detect_quasihomogeneous(None, cusp) == (3, 2)
+
+
+# ------------------------------------------------------------ corrections
+
+# k = 2 pairs with finite mu_f, and their (c1, c2)
+K2_CORRECTIONS = [
+    (CURVE_K2, poly("x^2 + 2*y^2 + 3*z^2 + x*z", R3), (1, 2)),
+    (CURVE_K2, poly("x^3 + y^2 + z^2", R3), (2, 4)),
+    (AXIS3, poly("x^2 + y^2 + z^2", R3), (1, 2)),
+]
+
+
+def corrections(generators, f):
+    """(c1, c2) of the ideal of `generators` and J(f), as the pipeline counts them."""
+    ideal, jacobian = Submodule.ideal(f.ring, generators), Submodule.ideal(f.ring, gradient(f))
+    c1 = local_colength(module_sum(jacobian, ideal))
+    return c1, inv._intersection_over_product(ideal, jacobian)
+
+
+def test_c2_matches_truncation_oracle():
+    # I = (h), J = J(h) for the cusp h: I lies in J, so c2 = dim I/hJ = mu(h)
+    h = poly("x^2 + y^3", R2)
+    I, J = Submodule.ideal(R2, [h]), Submodule.ideal(R2, gradient(h))
+    expected = oracle.truncated_subquotient(
+        2, 1,
+        [dict(g.terms) for g in intersect(I, J).generators],
+        [{(0, m): c for m, c in (h * p).terms.items()} for p in gradient(h)],
+    )
+    assert corrections([h], h)[1] == expected == 2
+
+
+def test_c2_is_twice_c1_for_two_generators():
+    # c2 = dim Tor_1(O/I, O/J), the middle Koszul homology of (g_1, g_2) on
+    # the Artinian Gorenstein O/J: h_0 = c1, h_2 = dim Ann(I) = c1 by
+    # duality, and h_0 - h_1 + h_2 = 0, so c2 = 2 * c1
+    rep = report("pencil5_quadric")
+    assert (rep.k, rep.c1, rep.c2) == (2, 1, 2)
+    for X, f, expected in K2_CORRECTIONS:
+        c1, c2 = corrections(X.generators, f)
+        assert (c1, c2) == expected and c2 == 2 * c1, (X, f)
+
+
+def test_c2_is_invariant_under_reversing_the_generators():
+    # every corpus pair has finite mu_f
+    pairs = [(X, f) for _, X, f in D3_PAIRS + LOW_DIM_PAIRS] + [
+        (X, f) for X, f, _ in K2_CORRECTIONS
+    ]
+    for X, f in pairs:
+        if X.k > 1:
+            assert corrections(X.generators[::-1], f) == corrections(X.generators, f), (X, f)
 
 
 # ---------------------------------------------------------------- reports

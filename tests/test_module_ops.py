@@ -1,12 +1,9 @@
-"""Syzygies, intersections, products, minors and subquotient dimensions."""
-
-import random
+"""Syzygies, intersections, sums, minors and submodule pullbacks."""
 
 import pytest
 from hypothesis import given, reject, strategies as st
 
 from germlab import (
-    ContainmentViolation,
     ModuleElement,
     Polynomial,
     ReductionLimitExceeded,
@@ -14,17 +11,15 @@ from germlab import (
     intersect,
     jacobian_minors,
     module_sum,
-    product,
     standard_basis,
     step_cap,
     submodule_pullback,
-    subquotient_dimension,
     syzygies,
 )
 
 import _oracle as oracle
 import germs
-from germs import R1, R2, R3, R4, poly
+from germs import R1, R2, R3, poly
 
 
 def elem(ring, *exprs):
@@ -167,20 +162,12 @@ def test_product_contained_in_intersection():
     I = Submodule.ideal(R2, [poly("x", R2), poly("y^2", R2)])
     J = Submodule.ideal(R2, [poly("x + y", R2), poly("x^3", R2)])
     inter_basis = standard_basis(intersect(I, J))
-    for g in product(I, J).generators:
-        assert inter_basis.contains(g)
+    for a in I.polynomials():
+        for b in J.polynomials():
+            assert inter_basis.contains(ModuleElement.from_polynomial(a * b))
 
 
-# ----------------------------------------------------------- product and sum
-
-
-def test_product_examples():
-    I = Submodule.ideal(R2, [poly("x", R2), poly("y", R2)])
-    J = Submodule.ideal(R2, [poly("x", R2)])
-    assert {str(p) for p in product(I, J).polynomials()} == {"x^2", "x*y"}
-    F = Submodule.ideal(R2, [poly("x^2 - y", R2)])
-    assert product(F, Submodule.ideal(R2, [poly("1", R2)])).polynomials() == F.polynomials()
-    assert product(I, Submodule.zero(R2, 1)).is_zero()
+# ---------------------------------------------------------------------- sum
 
 
 def test_module_sum():
@@ -280,55 +267,3 @@ def test_theta_through_projected_syzygies_is_the_tangent_module():
                 for a in projected_syzygy_pullback(theta.generators, tangent_r).generators
             ])
         assert modules_equal(theta, X.tangent_module), X
-
-
-# ------------------------------------------------------------- subquotients
-
-
-def test_subquotient_examples():
-    I = Submodule.ideal(R1, [poly("x", R1)])
-    J = Submodule.ideal(R1, [poly("x^2", R1)])
-    assert subquotient_dimension(I, J) == 1
-    assert subquotient_dimension(I, I) == 0
-
-
-def test_subquotient_with_unit_jacobian():
-    # with I = (x^2+y^2+z^2+w^2) and Jf = (1): (I cap Jf)/(I*Jf) = I/I = 0
-    h = poly("x^2+y^2+z^2+w^2", R4)
-    I = Submodule.ideal(R4, [h])
-    Jf = Submodule.ideal(R4, [poly("1", R4)])
-    assert subquotient_dimension(intersect(I, Jf), product(I, Jf)) == 0
-
-
-def test_subquotient_containment_violation():
-    I = Submodule.ideal(R2, [poly("x^2", R2)])
-    J = Submodule.ideal(R2, [poly("y", R2)])
-    with pytest.raises(ContainmentViolation):
-        subquotient_dimension(I, J)
-
-
-def test_subquotient_matches_truncation_oracle():
-    h = poly("x^2 + y^3", R2)
-    I = Submodule.ideal(R2, [h])
-    Jf = Submodule.ideal(R2, [h.derivative(0), h.derivative(1)])
-    big = intersect(I, Jf)
-    small = product(I, Jf)
-    main = subquotient_dimension(big, small)
-    expected = oracle.truncated_subquotient(
-        2, 1, [dict(g.terms) for g in big.generators], [dict(g.terms) for g in small.generators]
-    )
-    assert main == expected
-
-
-def test_subquotient_permutation_invariance():
-    rng = random.Random(3)
-    I = Submodule.ideal(R2, [poly("x^2", R2), poly("x*y", R2), poly("y^3", R2)])
-    J = Submodule.ideal(R2, [poly("x^3", R2), poly("x^2*y", R2), poly("y^4", R2), poly("x*y^2", R2)])
-    base = subquotient_dimension(I, J)
-    for _ in range(3):
-        gi = list(I.generators)
-        gj = list(J.generators)
-        rng.shuffle(gi)
-        rng.shuffle(gj)
-        assert subquotient_dimension(Submodule(R2, 1, gi), Submodule(R2, 1, gj)) == base
-
