@@ -79,6 +79,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, lcm
+from operator import lshift
 from typing import Iterable, Sequence
 
 from .errors import DegreeLimitExceeded, ReductionLimitExceeded
@@ -354,10 +355,7 @@ class _Packing:
         deg = sum(mono)
         if deg >= DEGREE_LIMIT:
             raise _degree_limit(deg)
-        packed = self._heads[comp] | deg << self.deg_shift
-        for e, s in zip(mono, self.shifts):
-            packed |= e << s
-        return packed
+        return self._heads[comp] | deg << self.deg_shift | sum(map(lshift, mono, self.shifts))
 
     def unpack(self, packed: int) -> Term:
         return (packed >> _FIELD_BITS) & _FIELD_MASK, tuple(
@@ -549,6 +547,51 @@ def standard_basis(
     is minimal: no lead term divides another, and every element is a
     primitive integer vector with positive lead coefficient.
 
+    Not every critical pair is formed.  When a new lead t arrives, the
+    update of Gebauer and Moeller ("On an installation of Buchberger's
+    algorithm", J. Symb. Comput. 6, 1988) drops:
+    - criterion B: a queued pair (i, j) such that t divides lcm(i, j)
+      while lcm(i, t) and lcm(j, t) both differ from it (lazily: the
+      pair leaves `live`, and the heap skips it when popped);
+    - criteria M and F: a new pair (i, t) whose lcm is a proper multiple
+      of another new pair's lcm; of new pairs with one lcm, one is kept;
+    - the product criterion, for ideals only: every new pair whose lcm
+      is that of a new pair with coprime leads;
+    - in a truncated run with block = 0, every pair whose lcm has degree
+      at or past the bound.
+    Divisibility is tested on packed terms, as in _mora_nf.
+
+    Why this is sound.  Let sigma_ij be the syzygy of the lead terms that
+    the pair (i, j) stands for.  G is a standard basis as soon as, for a
+    set of pairs whose sigma_ij generate all syzygies of the lead terms,
+    each S-element s_ij has a representation sum_k a_k g_k in which every
+    a_k g_k leads below lcm(i, j).  A weak normal form that ends at 0
+    gives one: u s_ij = sum_k q_k g_k for a unit u, with no q_k g_k
+    leading above s_ij.  This criterion holds for every monomial module
+    order, local ones included (Greuel and Pfister, "A Singular
+    Introduction to Commutative Algebra", ch. 2).
+    - Criterion B: sigma_ij is a combination of sigma_it and sigma_jt
+      with monomial factors, and their lcms properly divide lcm(i, j).
+    - Criteria M and F: a dropped sigma_it is such a combination of a
+      new sigma_jt and the old sigma_ij, whose lcms divide lcm(i, t).
+      Gebauer and Moeller show that the pairs left by B, M and F still
+      generate; the argument is about monomials only, so any order
+      will do.
+    - Product criterion: for coprime leads of two ideal elements f and
+      g, s = lt(g) f - lt(f) g = tail(f) g - tail(g) f is itself such a
+      representation, since lt(tail(f)) lt(g) and lt(tail(g)) lt(f) lie
+      below lt(f) lt(g), the lcm, under any monomial order.  Only in
+      rank 1 can two elements be multiplied, hence ideals only.
+    - Modulo m^bound: a truncated run is a run for M + m^bound with the
+      monomials of degree bound as implicit elements, and every identity
+      above holds for representatives modulo m^bound.
+    - Past the bound (block = 0): a lead has the least degree in its
+      element, so when lcm(i, j) has degree at least the bound, so has
+      every term of (lcm/lt_i) g_i and (lcm/lt_j) g_j.  Then s_ij lies
+      in m^bound, and the implicit monomials represent it.  The bound
+      only falls, and pairs pop by lcm degree, so the loop ends at the
+      first pair past the bound.
+
     With `truncate_degree=D` all terms of degree >= D are discarded, i.e.
     the module M is replaced by M + m^D * O^rank.  That is only useful
     for colength counting (see local_colength); such bases refuse
@@ -567,7 +610,7 @@ def standard_basis(
     With `extending=B`, a `block=0` basis of a module M exact or truncated
     at a degree >= truncate_degree, the run computes a basis of M +
     module: B's elements, cut at the bound, are a standard basis of M +
-    m^bound modulo m^bound, so the run starts from them and drops every
+    m^bound modulo m^bound, so the run starts from them and forms no
     pair among them (Singular's `std(I, J)` extends a basis the same
     way).  Each generator of `module` is reduced against the basis before
     it is pushed, so a generator that lies in M costs one normal form and
@@ -596,9 +639,13 @@ def standard_basis(
 
     basis: list[_Entry] = []
     lead_terms: list[Term] = []
-    pairs: list[tuple[int, int, int]] = []
+    pairs: list[tuple[int, int, int]] = []  # heap of (lcm degree, i, j)
+    live: dict[tuple[int, int], int] = {}  # queued pairs not deleted, to packed lcm
+    guards = packing.guards
+    bounded = bound is not None and block == 0  # no pair past the bound
+    product_criterion = rank == 1
 
-    def push(vec: IntVec):
+    def push(vec: IntVec, new_pairs: bool = True):
         nonlocal bound, cut
         # store primitive integer vectors with positive lead coefficient
         lt = min(vec)
@@ -607,23 +654,54 @@ def standard_basis(
         idx = len(basis)
         basis.append(_Entry(vec, lt, vec[lt], packing.max_degree(vec) - packing.degree(lt)))
         comp, mono = term = packing.unpack(lt)
-        for other, (o_comp, o_mono) in enumerate(lead_terms):
-            if o_comp == comp:
-                heapq.heappush(pairs, (sum(map(max, o_mono, mono)), other, idx))
-        lead_terms.append(term)
         if corner is not None:
             top = corner.add(term, lt, bound)
             if top is not None and top + 2 <= bound:
                 bound = top + 1
                 cut = bound << packing.deg_shift
+        if new_pairs:
+            lcms = {}  # index -> packed lcm of the new pairs
+            for other, (o_comp, o_mono) in enumerate(lead_terms):
+                if o_comp == comp:
+                    mono_lcm = tuple(map(max, o_mono, mono))
+                    if not bounded or sum(mono_lcm) < bound:
+                        lcms[other] = packing.pack(comp, mono_lcm)
+            # criterion B; an lcm(i, lt) past the bound is missing from lcms, and
+            # then lcm(i, j) is past the bound too
+            dead = [key for key, l in live.items()
+                    if ((l | guards) - lt) & guards == guards
+                    and lcms.get(key[0]) != l and lcms.get(key[1]) != l]
+            for key in dead:
+                del live[key]
+            # criteria M and F and the product criterion; ascending packed lcms
+            # put every divisor before its multiples
+            groups: dict[int, int | None] = {}  # kept lcm -> its pair, None if coprime
+            for l, other in sorted(zip(lcms.values(), lcms)):
+                # for rank 1 a packed product is a sum, and lcm = product iff coprime
+                coprime = product_criterion and l == lt + basis[other].lt
+                if l in groups:
+                    if coprime:
+                        groups[l] = None
+                    continue
+                probe = l | guards
+                for k in groups:
+                    if (probe - k) & guards == guards:
+                        break
+                else:
+                    groups[l] = None if coprime else other
+            for l, other in groups.items():
+                if other is not None:
+                    heapq.heappush(pairs, (packing.degree(l), other, idx))
+                    live[other, idx] = l
+        lead_terms.append(term)
 
     if extending is not None:
         for e in extending._entries:
             vec = {t: c for t, c in e.vec.items() if cut is None or t < cut}
             if vec:  # the lead has the least degree, so it survives the cut
                 _normalize(vec)
-                push(vec)
-        pairs.clear()  # the seeds are a standard basis: their pairs reduce to 0
+                # the seeds are a standard basis: their pairs reduce to 0
+                push(vec, new_pairs=False)
 
     # an extension reduces its generators before pushing them, like S-elements
     inputs: list[IntVec] = []
@@ -640,10 +718,13 @@ def standard_basis(
         if inputs:
             vec = inputs.pop(0)
         else:
-            _, i, j = heapq.heappop(pairs)
+            deg, i, j = heapq.heappop(pairs)
+            lcm_term = live.pop((i, j), None)
+            if lcm_term is None:  # deleted by criterion B
+                continue
+            if bounded and deg >= bound:  # so is every pair left
+                break
             gi, gj = basis[i], basis[j]
-            comp, mono_i = lead_terms[i]
-            lcm_term = packing.pack(comp, tuple(map(max, mono_i, lead_terms[j][1])))
             vec = {}
             _vec_axpy(vec, gi.vec, lcm_term - gi.lt, gj.lc, cut, packing.low)
             _vec_axpy(vec, gj.vec, lcm_term - gj.lt, -gi.lc, cut, packing.low)
@@ -656,7 +737,6 @@ def standard_basis(
     # Minimalize: keep only elements whose lead term is not divisible by the
     # lead term of another kept element.  Processing by ascending lead degree
     # (ascending packed leads) guarantees divisors are seen first.
-    guards = packing.guards
     kept: list[int] = []
     for lt, t in sorted((e.lt, t) for t, e in enumerate(basis)):
         probe = lt | guards

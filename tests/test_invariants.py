@@ -459,9 +459,10 @@ def test_slice_milnor_falls_back_when_restricted_chain_is_not_admissible():
 
 
 def test_linear_slice_is_computed_in_one_variable_less():
-    # the restricted chain needs far fewer reduction steps than the full one
+    # the restricted chain needs far fewer reduction steps than the full one:
+    # at most 1 per run against 57 in the full chain's largest run
     chain = (poly("x^3 + y^3 + z^4 + w^5", R4), poly("x + y - z - w", R4))
-    with step_cap(200):
+    with step_cap(20):
         assert milnor_icis(chain) == 12
         with pytest.raises(ReductionLimitExceeded):
             _milnor_chain(chain)

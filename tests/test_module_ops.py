@@ -253,6 +253,25 @@ def test_pullback_matches_the_projected_syzygies(case):
         reject()
 
 
+def test_a_runaway_pullback_finishes_under_a_step_cap():
+    # Before the pair criteria this block-order run went on for more than
+    # 30 s while its coefficients swelled (unit entries of large ecart).  It
+    # now needs 680 reduction steps.
+    gens = [
+        elem(R2, "-5/2*x^2 - x*y^2 - 3*x^2*y^2", "1/2 + 2*x^2*y"),
+        elem(R2, "-2*y^2 + 3*x^2*y^2", "0"),
+        elem(R2, "-1 - 3*x^2*y", "3 + 3*y^2 + 1/2*x^2*y^2"),
+    ]
+    N = Submodule(R2, 2, [elem(R2, "0", "3/2*y + 5/2*x^2"),
+                          elem(R2, "2*x*y + x*y^2 - 2*x^2*y^2", "0")])
+    with step_cap(1000):
+        K = submodule_pullback(gens, N)
+        nb = standard_basis(N)
+        assert K.rank == len(gens) and K.generators
+        for row in K.generators:
+            assert nb.contains(combination(gens, row.components))
+
+
 def test_theta_through_projected_syzygies_is_the_tangent_module():
     for X in (v for v in vars(germs).values() if isinstance(v, germs.VarietyGerm)):
         theta = None

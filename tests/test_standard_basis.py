@@ -27,6 +27,7 @@ from germlab import (
     step_cap,
     syzygies,
 )
+from germlab.derlog import _compute_theta
 from germlab.standard_basis import DEGREE_LIMIT, _TRUNCATION_LADDER, _Packing, _axis_floor
 
 import _oracle as oracle
@@ -89,23 +90,60 @@ def test_lead_module_of_curve_ideal():
     assert got == sorted([(2, 0, 0), (0, 2, 0), (0, 1, 1), (1, 0, 1), (0, 0, 3)])
 
 
+def s_elements(basis):
+    """The S-element of every pair of basis elements whose leads share a
+    component, with the lead terms cancelled."""
+    ring = basis.ambient.ring
+    pairs = list(zip(basis.elements, basis.lead_terms))
+    for i, (a, (ca, ma)) in enumerate(pairs):
+        for b, (cb, mb) in pairs[:i]:
+            if ca == cb:
+                lcm = tuple(map(max, ma, mb))
+                sa = Polynomial.term(ring, tuple(l - e for l, e in zip(lcm, ma)), b.terms[cb, mb])
+                sb = Polynomial.term(ring, tuple(l - e for l, e in zip(lcm, mb)), a.terms[ca, ma])
+                yield a * sa - b * sb
+
+
+def assert_buchberger(module, basis):
+    """Every generator of the module and every S-element of the basis has
+    weak normal form 0 against the basis: the Buchberger-Mora criterion,
+    which holds iff the basis is a standard basis of the module, so it
+    fails when a needed pair was dropped."""
+    assert all(basis.contains(g) for g in module.generators)
+    assert all(basis.contains(s) for s in s_elements(basis))
+
+
+GERMS = [(n, X) for n, X in vars(germs).items() if isinstance(X, VarietyGerm)]
+
+
 def test_inputs_reduce_to_zero_and_s_elements_vanish():
     module = ideal(R3, "x^2 + y^3", "x*y - z^3", "y*z + x^2")
-    basis = standard_basis(module)
-    for g in module.generators:
-        assert basis.contains(g)
-    # Buchberger-Mora criterion on the output itself
-    for i, a in enumerate(basis.elements):
-        for b in basis.elements[:i]:
-            (ca, ma) = basis.lead_terms[basis.elements.index(a)]
-            (cb, mb) = basis.lead_terms[basis.elements.index(b)]
-            if ca != cb:
-                continue
-            lcm = tuple(max(x, y) for x, y in zip(ma, mb))
-            sa = Polynomial.term(R3, tuple(l - x for l, x in zip(lcm, ma)), 1)
-            sb = Polynomial.term(R3, tuple(l - x for l, x in zip(lcm, mb)), 1)
-            s = a * sa - b * sb
-            assert basis.contains(s)
+    assert_buchberger(module, standard_basis(module))
+    # the exact bases of I and I + J of every germ
+    for name, X in GERMS:
+        gens = list(X.generators)
+        partials = [g.derivative(i) for g in gens for i in range(X.ring.n)]
+        for module in (X.ideal, Submodule.ideal(X.ring, gens + partials)):
+            assert_buchberger(module, standard_basis(module))
+
+
+def test_theta_graph_modules_pass_the_buchberger_criterion(monkeypatch):
+    # every block-order graph module that computing Theta_X builds
+    module_ops = importlib.import_module("germlab.module_ops")
+    runs = []
+
+    def recording(module, **options):
+        runs.append((module, options))
+        return standard_basis(module, **options)
+
+    monkeypatch.setattr(module_ops, "standard_basis", recording)
+    for name, X in GERMS:
+        runs.clear()
+        _compute_theta(X)
+        assert runs, name
+        for module, options in runs:
+            assert options["block"] >= 1
+            assert_buchberger(module, standard_basis(module, **options))
 
 
 small_multipliers3 = st.dictionaries(
@@ -213,8 +251,10 @@ def test_step_cap_restores_the_previous_cap():
 
 
 def test_step_limit_error_names_what_ran_out():
-    module = ideal(R3, "x^2 + y^3", "x*y - z^3", "y*z + x^2")
-    columns = [element(R2, "x^2", "y"), element(R2, "x*y", "x"), element(R2, "y^2", "x*y")]
+    # each run needs more than 2 steps: 45, 8 and 6 with the pair criteria
+    module = ideal(R3, "x^2 + z^3", "y^2 + x^3", "x*y*z + z^4")
+    columns = [element(R2, "x^2", "y"), element(R2, "x*y + y^3", "x"),
+               element(R2, "y^2", "x*y + x^2")]
     runs = [
         (lambda: standard_basis(module),
          "aborted after 2 reduction steps in a standard basis of rank 1 with 3 generators;"),
@@ -440,6 +480,34 @@ def test_local_colength_random_agreement(a, b, tail_terms):
         2, 1, [dict(g.terms) for g in module.generators]
     )
     assert local_colength(module) == reference
+
+
+@st.composite
+def truncated_runs(draw):
+    ring = draw(st.sampled_from([R2, R3]))
+    rank = draw(st.integers(1, 2))
+    mono = st.tuples(*[st.integers(0, 3)] * ring.n)
+    terms = st.dictionaries(st.tuples(st.integers(0, rank - 1), mono), coeffs,
+                            min_size=1, max_size=4)
+    gens = draw(st.lists(terms, min_size=1, max_size=4))
+    degree = draw(st.integers(1, 7 if ring.n == 2 else 5))
+    return Submodule(ring, rank, [ModuleElement(ring, rank, g) for g in gens]), degree
+
+
+@given(truncated_runs())
+@example((ideal(R2, "x^2 + y^3", "y^2 + x^3"), 6))  # coprime leads
+@example((ideal(R3, "x*y + z^3", "x*z + y^3", "y*z + x^3"), 5))  # pairs past the bound
+# coprime leads in a module: the S-element (0, y*z) is needed
+@example((Submodule(R3, 2, [element(R3, "x", "z"), element(R3, "y", "0")]), 4))
+def test_truncated_colengths_match_the_oracle(case):
+    # a colength of M + m^D counts the standard monomials below the bound the
+    # run ended at, and every pair criterion applies to these runs
+    module, degree = case
+    n, rank = module.ring.n, module.rank
+    gens = [dict(g.terms) for g in module.generators]
+    expected = rank * len(oracle.monomials_below(n, degree)) - oracle.truncated_span_dim(
+        n, rank, gens, degree)
+    assert colength(standard_basis(module, truncate_degree=degree)) == expected
 
 
 def test_local_colength_handles_modules():
