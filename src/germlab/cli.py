@@ -17,7 +17,7 @@ import argparse
 import sys
 from functools import cache
 
-from .derlog import VarietyGerm
+from .derlog import VarietyGerm, _minimise
 from .errors import (
     DegreeLimitExceeded,
     GenericityExhausted,
@@ -123,9 +123,9 @@ def _run_invariants(problem: ProblemFile, seed: int):
 
 def _run_theta(problem: ProblemFile, seed: int):
     X = _variety(problem)
-    theta = X.tangent_module
-    rows = [("n", problem.ring.n), ("theta.size", len(theta.generators))]
-    for i, gen in enumerate(theta.generators, start=1):
+    theta = _minimise(list(X.tangent_module.generators))
+    rows = [("n", problem.ring.n), ("theta.size", len(theta))]
+    for i, gen in enumerate(theta, start=1):
         rows.append((f"theta.gen.{i}", gen))
     return rows, []
 

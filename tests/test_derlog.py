@@ -17,7 +17,7 @@ from germlab import (
     standard_basis,
 )
 
-from germlab.derlog import _minimise, _unminimised_theta
+from germlab.derlog import _certified_theta, _minimise, _pullback_theta, _weights
 
 import _oracle as oracle
 import germs
@@ -167,11 +167,13 @@ def test_koszul_fields_for_hypersurfaces():
 
 
 def test_theta_of_c4_pencil_has_thirteen_generators_in_either_order():
-    # minimisation drops generators here (21 -> 13); an irredundant generating
-    # set over a local ring is minimal (Nakayama), so the count is mu(Theta_X)
+    # an irredundant generating set over a local ring is minimal (Nakayama),
+    # so the count is mu(Theta_X), whichever generating set is minimised
     a, b = "x^2 + y^2 + z^2 + w^2", "x^2 + 2*y^2 + 3*z^2 + 4*w^2"
     for exprs in ((a, b), (b, a)):
-        assert len(germ(R4, *exprs).tangent_module.generators) == 13
+        X = germ(R4, *exprs)
+        assert len(_minimise(list(X.tangent_module.generators))) == 13
+        assert len(_minimise(_pullback_theta(X))) == 13
 
 
 def greedy_minimise(gens):
@@ -192,9 +194,9 @@ def test_minimisation_matches_membership_greedy():
     varieties = [X for X in vars(germs).values() if isinstance(X, VarietyGerm)]
     varieties += [germ(R4, a, b), germ(R4, b, a)]
     for X in varieties:
-        gens = _unminimised_theta(X)
-        for order in (gens, gens[::-1]):
-            assert _minimise(order) == greedy_minimise(order)
+        for gens in (_pullback_theta(X), list(X.tangent_module.generators)):
+            for order in (gens, gens[::-1]):
+                assert _minimise(order) == greedy_minimise(order)
 
 
 def test_theta_of_c5_pencil_with_cubic_term_has_21_generators_in_either_order():
@@ -202,7 +204,86 @@ def test_theta_of_c5_pencil_with_cubic_term_has_21_generators_in_either_order():
     a = "x^2 + y^2 + z^2 + w^2 + v^2"
     b = "x^2 + 2*y^2 + 3*z^2 + 4*w^2 + 5*v^2 + v^3"
     for exprs in ((a, b), (b, a)):
-        assert len(germ(R5, *exprs).tangent_module.generators) == 21
+        assert len(_minimise(list(germ(R5, *exprs).tangent_module.generators))) == 21
+
+
+# ------------------------------------------- Theta_X^T + <E_w>, certified by tau
+
+C4_PENCIL = ("x^2 + y^2 + z^2 + w^2", "x^2 + 2*y^2 + 3*z^2 + 4*w^2")
+# the C^5 pencil with v^3 added to the second quadric: it admits no weights
+CUBIC_PENCIL = ("x^2 + y^2 + z^2 + w^2 + v^2", "x^2 + 2*y^2 + 3*z^2 + 4*w^2 + 5*v^2 + v^3")
+
+
+def both_orders(X):
+    return [X, VarietyGerm(X.ring, X.generators[::-1])]
+
+
+def ci_germs():
+    """Every germ of tests/germs.py with k >= 2, and the C^4 pencil, in
+    both generator orders."""
+    varieties = [X for X in vars(germs).values() if isinstance(X, VarietyGerm) and X.k >= 2]
+    varieties.append(germ(R4, *C4_PENCIL))
+    return [Y for X in varieties for Y in both_orders(X)]
+
+
+def test_certified_theta_equals_the_pullback_theta():
+    for X in ci_germs():
+        certified = _certified_theta(X)
+        assert certified is not None, X.generators
+        assert list(X.tangent_module.generators) == certified
+        pullback = Submodule(X.ring, X.ring.n, _pullback_theta(X))
+        assert modules_equal(X.tangent_module, pullback)
+        # so theta.size is the same on either route
+        assert len(_minimise(certified)) == len(_minimise(list(pullback.generators)))
+
+
+def test_euler_fields_scale_each_generator_by_its_degree():
+    varieties = [X for X in vars(germs).values() if isinstance(X, VarietyGerm)]
+    varieties += [germ(R4, *C4_PENCIL), germ(R4, "x*y", "z^2 + w^3"), germ(R3, "x^2 - y^3", "z")]
+    for X in varieties:
+        weights = _weights(X.generators)
+        assert weights or X is NONQH or X is germs.SUSPENSION4
+        for w, d in weights:
+            assert any(w)
+            for g, d_j in zip(X.generators, d):
+                euler = sum((g.derivative(i) * poly(x, X.ring) * w_i
+                             for i, (x, w_i) in enumerate(zip(X.ring.variables, w))),
+                            Polynomial.zero(X.ring))
+                assert euler == g * d_j
+    # x*y, z^2 + w^3: six unknowns (w, d) under three independent conditions
+    assert len(_weights(germ(R4, "x*y", "z^2 + w^3").generators)) == 3
+
+
+def test_germs_without_weights_take_the_pullback_route():
+    for X in both_orders(germ(R5, *CUBIC_PENCIL)):
+        assert _weights(X.generators) == []
+        assert _certified_theta(X) is None
+        assert list(X.tangent_module.generators) == _pullback_theta(X)
+
+
+def test_a_certificate_that_does_not_close_falls_back():
+    # with tau raised by one, no colength difference can reach it
+    X = germ(R4, *C4_PENCIL)
+    X.tjurina_colength  # cached_property: the value lives in the instance dict
+    X.__dict__["tjurina_colength"] += 1
+    assert _certified_theta(X) is None
+    assert list(X.tangent_module.generators) == _pullback_theta(X)
+
+
+def test_pencil_bruce_roberts_starts_no_block_order_run(monkeypatch):
+    import importlib
+
+    module_ops = importlib.import_module("germlab.module_ops")
+    blocks = []
+
+    def recording(module, **options):
+        blocks.append(options.get("block", 0))
+        return standard_basis(module, **options)
+
+    monkeypatch.setattr(module_ops, "standard_basis", recording)
+    X = VarietyGerm(R5, PENCIL5.generators)  # nothing cached yet
+    assert X.bruce_roberts(poly("x", R5)) == PENCIL5.bruce_roberts(poly("x", R5))
+    assert blocks == []
 
 
 # ------------------------------------------------------------------ df_theta
@@ -305,6 +386,8 @@ def test_ambient_curve_numbers():
 )
 def test_bruce_roberts_climbs_one_ladder_per_pair(colength_runs, X, f):
     image = df_theta(f, X.tangent_module)
+    # record from here on: building Theta_X may count tau on its own ladder
+    colength_runs.clear()
     values = X.bruce_roberts(f)
     *ladder, to_ideal, to_f = colength_runs
     # only D = df(Theta_X) climbs: its rungs in order, the last one certified

@@ -121,12 +121,17 @@ def test_one_graph_module_elimination():
 
 
 def test_one_truncation_ladder():
-    # every truncated run starts at local_colength's axis floor
+    # every colength's truncated run starts at local_colength's axis floor;
+    # Theta_X's certificate compares two truncated colengths at each rung
     callers = _callers(
         lambda call: _called_name(call) == "standard_basis"
         and any(kw.arg == "truncate_degree" for kw in call.keywords)
     )
-    assert callers == ["standard_basis.local_colength"]
+    assert callers == [
+        "derlog._certified_theta",
+        "derlog._certified_theta",
+        "standard_basis.local_colength",
+    ]
 
 
 def test_membership_is_the_only_normal_form_query():

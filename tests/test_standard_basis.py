@@ -27,7 +27,7 @@ from germlab import (
     step_cap,
     syzygies,
 )
-from germlab.derlog import _compute_theta
+from germlab.derlog import _minimise, _pullback_theta
 from germlab.standard_basis import DEGREE_LIMIT, _TRUNCATION_LADDER, _Packing, _axis_floor
 
 import _oracle as oracle
@@ -128,7 +128,8 @@ def test_inputs_reduce_to_zero_and_s_elements_vanish():
 
 
 def test_theta_graph_modules_pass_the_buchberger_criterion(monkeypatch):
-    # every block-order graph module that computing Theta_X builds
+    # every block-order graph module of the pullback route to Theta_X and of
+    # the minimisation that `germlab theta` runs on it
     module_ops = importlib.import_module("germlab.module_ops")
     runs = []
 
@@ -139,7 +140,7 @@ def test_theta_graph_modules_pass_the_buchberger_criterion(monkeypatch):
     monkeypatch.setattr(module_ops, "standard_basis", recording)
     for name, X in GERMS:
         runs.clear()
-        _compute_theta(X)
+        _minimise(_pullback_theta(X))
         assert runs, name
         for module, options in runs:
             assert options["block"] >= 1
