@@ -39,8 +39,8 @@ Two routes compute Theta_X, chosen by k:
   Theta_X / Theta_X^T, of length tau.  So equality forces
   length(C / Theta_X^T) = tau, hence C = Theta_X.  On the seed-1
   `theta_ci` pool every certificate closed at its first rung, D = 4, and
-  Theta_X took 6.3 ms per request against 27 ms for the pullbacks, their
-  `intersect` and the minimisation syzygy (same host).
+  Theta_X took 5.0 ms per request against 22 ms for the pullbacks, their
+  `intersect` and the minimisation syzygy (traced, same host).
 
 VarietyGerm.tangent_module returns the generators of either route as
 they come, not minimised: the Bruce-Roberts numbers need only the module.

@@ -1,5 +1,7 @@
 """Tangent modules and the three Bruce-Roberts-type numbers."""
 
+import importlib
+
 import pytest
 
 from germlab import (
@@ -271,19 +273,18 @@ def test_a_certificate_that_does_not_close_falls_back():
 
 
 def test_pencil_bruce_roberts_starts_no_block_order_run(monkeypatch):
-    import importlib
-
+    # submodule_pullback, the only caller with a block order, runs none
     module_ops = importlib.import_module("germlab.module_ops")
-    blocks = []
+    runs = []
 
     def recording(module, **options):
-        blocks.append(options.get("block", 0))
+        runs.append(options)
         return standard_basis(module, **options)
 
     monkeypatch.setattr(module_ops, "standard_basis", recording)
     X = VarietyGerm(R5, PENCIL5.generators)  # nothing cached yet
     assert X.bruce_roberts(poly("x", R5)) == PENCIL5.bruce_roberts(poly("x", R5))
-    assert blocks == []
+    assert runs == []
 
 
 # ------------------------------------------------------------------ df_theta
